@@ -39,12 +39,17 @@ race:
 # always-on flight recorder must stay within 3% of a bare hot loop
 # (relative comparisons, so they are stable on loaded CI hosts), and the
 # span-checked memcpy intrinsic must beat the per-access-checked guest
-# loop by ≥5x in deterministic guest cycles. The same tests run as part
-# of `make test` / `make check`; `-short` skips them.
+# loop by ≥5x in deterministic guest cycles, and a tiny hardened
+# redfat.Run must stay within 64 KiB and 160 allocations of host memory
+# per run (TestRunFixedCostBudget: allocation deltas are deterministic,
+# so this per-run fixed-cost guard is absolute yet stable on loaded
+# hosts). The same tests run as part of `make test` / `make check`;
+# `-short` skips them.
 perf-smoke:
 	$(GO) test -run TestPerfSmokeTLB -v ./internal/mem/
 	$(GO) test -run 'TestPerfSmokeJIT|TestPerfSmokeFlight' -v ./internal/vm/
 	$(GO) test -run TestPerfSmokeLibcSpan -v ./internal/bench/
+	$(GO) test -run TestRunFixedCostBudget -v .
 
 # trace-smoke drives the forensics/profiling CLI flags end to end and
 # validates that the emitted Chrome trace JSON and folded stacks parse.

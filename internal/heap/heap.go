@@ -141,7 +141,8 @@ func (h *Heap) noteSite(base, size uint64) {
 
 // chunkSize rounds a request up to a binned chunk size: multiples of 16 up
 // to 512 bytes, then powers of two. The padding this introduces is the
-// padding the paper notes redzone tools cannot protect (§2.1).
+// padding the paper notes redzone tools cannot protect (§2.1). size must
+// be at most maxRequest, or the rounding wraps.
 func chunkSize(size uint64) uint64 {
 	n := size + headerSize
 	if n <= 512 {
@@ -154,8 +155,14 @@ func chunkSize(size uint64) uint64 {
 	return c
 }
 
+// maxRequest is the largest request whose chunk could fit the arena.
+const maxRequest = ArenaEnd - ArenaBase - headerSize
+
 // Malloc allocates size bytes, 16-byte aligned.
 func (h *Heap) Malloc(size uint64) (uint64, error) {
+	if size > maxRequest {
+		return 0, fmt.Errorf("heap: malloc(%d) exceeds the arena", size)
+	}
 	c := chunkSize(size)
 	if lst := h.bins[c]; len(lst) > 0 {
 		chunk := lst[len(lst)-1]

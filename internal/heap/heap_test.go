@@ -3,6 +3,7 @@ package heap
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"redfat/internal/lowfat"
 	"redfat/internal/mem"
@@ -143,5 +144,33 @@ func TestStressNoOverlap(t *testing.T) {
 	allocs, frees, errs := h.Stats()
 	if allocs == 0 || frees == 0 || errs != 0 {
 		t.Errorf("stats: %d %d %d", allocs, frees, errs)
+	}
+}
+
+// TestMallocHugeSizeFails pins the out-of-memory path for requests whose
+// chunk size cannot be represented: malloc(2^63+1) used to spin forever
+// in chunkSize's power-of-two rounding, and malloc(2^64-5) wrapped
+// size+header and came back as a 16-byte chunk.
+func TestMallocHugeSizeFails(t *testing.T) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h := New(mem.New())
+		for _, size := range []uint64{1<<63 + 1, 1<<64 - 5, 1<<64 - 1, ArenaEnd - ArenaBase} {
+			if p, err := h.Malloc(size); err == nil {
+				t.Errorf("Malloc(%#x) = %#x, want an out-of-memory error", size, p)
+			}
+		}
+		if p, err := h.Calloc(1, 1<<64-5); err == nil {
+			t.Errorf("Calloc(1, 2^64-5) = %#x, want an out-of-memory error", p)
+		}
+		if _, err := h.Malloc(64); err != nil {
+			t.Errorf("heap unusable after failed huge requests: %v", err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Malloc of a huge size did not return")
 	}
 }

@@ -317,8 +317,17 @@ func (a *Allocator) Alloc(size uint64) (uint64, error) {
 }
 
 func (a *Allocator) allocLegacy(size uint64) (uint64, error) {
+	// Compare against the space left, not next+mapped against end: a
+	// huge request would wrap either sum.
+	var avail uint64
+	if a.legacy.next < a.legacy.end {
+		avail = a.legacy.end - a.legacy.next
+	}
+	if size > avail {
+		return 0, fmt.Errorf("lowfat: legacy region exhausted")
+	}
 	mapped := (size + pageAlign) &^ uint64(pageAlign)
-	if a.legacy.next+mapped > a.legacy.end {
+	if mapped > avail {
 		return 0, fmt.Errorf("lowfat: legacy region exhausted")
 	}
 	ptr := a.legacy.next

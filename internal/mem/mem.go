@@ -1,35 +1,42 @@
 // Package mem implements the sparse paged virtual memory used by the RF64
 // virtual machine.
 //
-// The address space is the full 64-bit range, backed lazily by 4 KiB page
-// frames allocated on Map. This is what lets the low-fat allocator (package
-// lowfat) reserve many 32 GB virtual regions (paper Fig. 2) without
-// committing physical memory — exactly the virtual-address-space trick the
-// LowFat allocator plays on Linux with mmap(PROT_NONE) reservations.
+// The address space is the full 64-bit range. The page table records
+// permissions as a sorted list of coalesced page ranges, not one entry per
+// page, and 4 KiB page frames are materialized only on a page's first
+// write. So mapping costs the same whatever the size of the range, and
+// memory is committed only where the guest writes. This is what lets the
+// low-fat allocator (package lowfat) reserve many 32 GB virtual regions
+// (paper Fig. 2), and the loader map an 8 MiB stack, without committing
+// physical memory — exactly the virtual-address-space trick the LowFat
+// allocator plays on Linux with mmap(PROT_NONE) reservations.
 //
 // All simulated program memory lives in these explicitly managed frames, so
-// the Go garbage collector never interacts with simulated pointers.
+// the Go garbage collector never interacts with simulated pointers. Frames
+// come from a bump-allocated slab that starts at one page and doubles up to
+// 1 MiB, so a short run's host allocation tracks the pages it writes.
 //
 // # The software TLB
 //
 // Every guest memory access resolves its page through a direct-mapped
 // software TLB (the classic binary-translation fast path), not through the
-// Go page map. The TLB has TLBSize entries per access kind, with separate
+// page table. The TLB has TLBSize entries per access kind, with separate
 // read/write/exec ways: an entry is only ever installed in a way whose
 // permission the page actually grants, so the permission check is folded
 // into the tag match and the hot path is one compare plus one indexed load
 // — no branch on perm. Map/Unmap/Protect invalidate precisely (by page
 // index when the affected range is small, full flush otherwise), so a TLB
-// hit is always coherent with the page map.
+// hit is always coherent with the page table.
 //
 // The TLB is a host-side cache only: hit or miss, every access faults at
-// the same address with the same verdict as a page-map walk, so guest
+// the same address with the same verdict as a page-table walk, so guest
 // behaviour is bit-identical with the TLB disabled (NoTLB).
 package mem
 
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"redfat/internal/obs"
 )
@@ -104,14 +111,11 @@ type page struct {
 	data [PageSize]byte
 }
 
-// pte maps one guest page: its permissions plus the backing frame. frame
-// is nil until the first write materializes it, so mapping a large range
-// allocates (and zeroes) nothing; reads and fetches of an unmaterialized
-// page are served from the shared zeroFrame. Guest-visible behaviour is
-// unchanged — pages are demand-zero either way.
-type pte struct {
-	frame *page
-	perm  Perm
+// permRange records the permissions of the consecutive mapped pages
+// first..last (page indexes, inclusive).
+type permRange struct {
+	first, last uint64
+	perm        Perm
 }
 
 // zeroFrame backs every mapped-but-never-written page. It is shared
@@ -145,7 +149,19 @@ func (s TLBStats) HitRate() float64 {
 // Memory is a sparse paged address space. The zero value is not ready for
 // use; call New.
 type Memory struct {
-	pages map[uint64]pte
+	// ranges is the page table: every mapped page, as a sorted list of
+	// disjoint permission ranges, coalesced so that touching ranges
+	// always differ in perm. Map, Protect and Unmap edit it in
+	// O(#ranges) whatever the size of the address range they cover; a
+	// TLB miss resolves its page by binary search.
+	ranges []permRange
+
+	// frames holds the backing frame of every materialized page, by page
+	// index. A mapped page without a frame is demand-zero: reads and
+	// fetches are served from the shared zeroFrame, and the first write
+	// materializes a private frame. So mapping a large range allocates
+	// (and zeroes) nothing.
+	frames map[uint64]*page
 
 	// The software TLB: direct-mapped, one way per access kind.
 	tlbRead  [TLBSize]tlbEntry
@@ -153,7 +169,7 @@ type Memory struct {
 	tlbExec  [TLBSize]tlbEntry
 
 	// NoTLB disables TLB fills (every probe misses and walks the page
-	// map), restoring the pre-TLB lookup behaviour for A/B validation.
+	// table), restoring the pre-TLB lookup behaviour for A/B validation.
 	// Set it before the first access; guest-visible behaviour is
 	// identical either way.
 	NoTLB bool
@@ -170,23 +186,27 @@ type Memory struct {
 	mapped uint64 // number of mapped pages, for accounting
 
 	// slab is the bump allocator behind materialized page frames: frames
-	// are carved out of slabPages-sized arrays so first-write
-	// materialization costs one bulk allocation (and one bulk zeroing)
-	// per slabPages frames instead of one small heap object per 4 KiB
-	// page. Frames are never recycled within a Memory (an unmapped
-	// page's frame is dropped with its map entry), so every frame handed
+	// are carved out of slab arrays so first-write materialization costs
+	// one bulk allocation (and one bulk zeroing) per slab instead of one
+	// small heap object per 4 KiB page. Slabs start at one page and
+	// double up to maxSlabPages, so a short run pays for the pages it
+	// writes, not for a fixed 1 MiB. slabLen is the size of the last
+	// slab carved. Frames are never recycled within a Memory (an
+	// unmapped page's frame is dropped with it), so every frame handed
 	// out is still demand-zero.
-	slab []page
+	slab    []page
+	slabLen int
 }
 
-// slabPages is the bump-allocation granule for page frames (1 MiB of
-// guest memory per host allocation).
-const slabPages = 256
+// maxSlabPages caps the bump-allocation granule for page frames (1 MiB
+// of guest memory per host allocation).
+const maxSlabPages = 256
 
 // newPage carves the next zeroed frame out of the slab.
 func (m *Memory) newPage() *page {
 	if len(m.slab) == 0 {
-		m.slab = make([]page, slabPages)
+		m.slabLen = min(max(2*m.slabLen, 1), maxSlabPages)
+		m.slab = make([]page, m.slabLen)
 	}
 	p := &m.slab[0]
 	m.slab = m.slab[1:]
@@ -195,7 +215,7 @@ func (m *Memory) newPage() *page {
 
 // New returns an empty address space.
 func New() *Memory {
-	m := &Memory{pages: make(map[uint64]pte, 1024)}
+	m := &Memory{}
 	m.flushTLB()
 	return m
 }
@@ -253,14 +273,10 @@ func (m *Memory) readPage(addr uint64) *page {
 
 func (m *Memory) readPageSlow(idx uint64) *page {
 	m.tlbMisses++
-	e, ok := m.pages[idx]
-	if !ok || e.perm&PermRead == 0 {
+	if m.permOf(idx)&PermRead == 0 {
 		return nil
 	}
-	f := e.frame
-	if f == nil {
-		f = &zeroFrame
-	}
+	f := m.frameOf(idx)
 	if !m.NoTLB {
 		m.tlbRead[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
@@ -280,13 +296,16 @@ func (m *Memory) writePage(addr uint64) *page {
 
 func (m *Memory) writePageSlow(idx uint64) *page {
 	m.tlbMisses++
-	e, ok := m.pages[idx]
-	if !ok || e.perm&PermWrite == 0 {
+	if m.permOf(idx)&PermWrite == 0 {
 		return nil
 	}
-	if e.frame == nil {
-		e.frame = m.newPage()
-		m.pages[idx] = e
+	f := m.frames[idx]
+	if f == nil {
+		f = m.newPage()
+		if m.frames == nil {
+			m.frames = make(map[uint64]*page)
+		}
+		m.frames[idx] = f
 		// The read and exec ways may alias this page to the shared
 		// zeroFrame; drop those entries so future reads see the
 		// materialized frame.
@@ -299,9 +318,9 @@ func (m *Memory) writePageSlow(idx uint64) *page {
 		}
 	}
 	if !m.NoTLB {
-		m.tlbWrite[idx&tlbMask] = tlbEntry{tag: idx, page: e.frame}
+		m.tlbWrite[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
-	return e.frame
+	return f
 }
 
 // execPage resolves the page containing addr for instruction fetch, or nil.
@@ -317,96 +336,189 @@ func (m *Memory) execPage(addr uint64) *page {
 
 func (m *Memory) execPageSlow(idx uint64) *page {
 	m.tlbMisses++
-	e, ok := m.pages[idx]
-	if !ok || e.perm&PermExec == 0 {
+	if m.permOf(idx)&PermExec == 0 {
 		return nil
 	}
-	f := e.frame
-	if f == nil {
-		f = &zeroFrame
-	}
+	f := m.frameOf(idx)
 	if !m.NoTLB {
 		m.tlbExec[idx&tlbMask] = tlbEntry{tag: idx, page: f}
 	}
 	return f
 }
 
-// Map ensures [addr, addr+size) is mapped with the given permissions.
-// Already-mapped pages have their permissions replaced. Mapping rounds
-// outward to page boundaries, as mmap does.
-func (m *Memory) Map(addr, size uint64, perm Perm) {
+// frameOf returns the frame backing mapped page idx for reading: its
+// private frame once written, the shared zeroFrame before.
+func (m *Memory) frameOf(idx uint64) *page {
+	if f := m.frames[idx]; f != nil {
+		return f
+	}
+	return &zeroFrame
+}
+
+// search returns the index of the first range ending at or after page
+// idx (len(m.ranges) if none).
+func (m *Memory) search(idx uint64) int {
+	lo, hi := 0, len(m.ranges)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if m.ranges[h].last < idx {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
+}
+
+// lookup returns the permissions of page idx and whether it is mapped.
+func (m *Memory) lookup(idx uint64) (Perm, bool) {
+	if i := m.search(idx); i < len(m.ranges) && m.ranges[i].first <= idx {
+		return m.ranges[i].perm, true
+	}
+	return 0, false
+}
+
+// permOf returns the permissions of page idx (zero if unmapped).
+func (m *Memory) permOf(idx uint64) Perm {
+	p, _ := m.lookup(idx)
+	return p
+}
+
+// pageSpan returns the page indexes first..last covering [addr,
+// addr+size), or ok=false for an empty range. A range that wraps past
+// 2^64 is clamped to the top of the address space.
+func pageSpan(addr, size uint64) (first, last uint64, ok bool) {
 	if size == 0 {
+		return 0, 0, false
+	}
+	end := addr + size - 1
+	if end < addr {
+		end = ^uint64(0)
+	}
+	return addr >> PageShift, end >> PageShift, true
+}
+
+// Page-table edit modes (see edit).
+const (
+	editMap     = iota // every page in the span becomes mapped with perm
+	editProtect        // mapped pages take perm; holes stay unmapped
+	editUnmap          // every page in the span becomes unmapped
+)
+
+// edit rewrites the page table over pages first..last in the given mode
+// and returns how many of those pages were mapped before. Only the
+// ranges overlapping the span and their two neighbours are rebuilt (the
+// neighbours so the result stays coalesced), so the cost is independent
+// of the span's size.
+func (m *Memory) edit(first, last uint64, perm Perm, mode int) (covered uint64) {
+	rs := m.ranges
+	lo := m.search(first)
+	hi := lo
+	for hi < len(rs) && rs[hi].first <= last {
+		covered += min(rs[hi].last, last) - max(rs[hi].first, first) + 1
+		hi++
+	}
+	wlo, whi := max(lo-1, 0), min(hi+1, len(rs))
+
+	var buf [8]permRange
+	out := append(buf[:0], rs[wlo:lo]...)
+	if lo < hi && rs[lo].first < first {
+		out = append(out, permRange{rs[lo].first, first - 1, rs[lo].perm})
+	}
+	switch mode {
+	case editMap:
+		out = append(out, permRange{first, last, perm})
+	case editProtect:
+		for _, r := range rs[lo:hi] {
+			out = append(out, permRange{max(r.first, first), min(r.last, last), perm})
+		}
+	}
+	if lo < hi && rs[hi-1].last > last {
+		out = append(out, permRange{last + 1, rs[hi-1].last, rs[hi-1].perm})
+	}
+	out = append(out, rs[hi:whi]...)
+
+	// Coalesce touching ranges of equal permission.
+	n := 0
+	for _, r := range out {
+		if n > 0 && out[n-1].last+1 == r.first && out[n-1].perm == r.perm {
+			out[n-1].last = r.last
+			continue
+		}
+		out[n] = r
+		n++
+	}
+	m.ranges = slices.Replace(rs, wlo, whi, out[:n]...)
+	return covered
+}
+
+// Map ensures [addr, addr+size) is mapped with the given permissions.
+// Already-mapped pages have their permissions replaced and keep their
+// contents. Mapping rounds outward to page boundaries, as mmap does.
+func (m *Memory) Map(addr, size uint64, perm Perm) {
+	first, last, ok := pageSpan(addr, size)
+	if !ok {
 		return
 	}
-	first := addr >> PageShift
-	last := (addr + size - 1) >> PageShift
-	for idx := first; ; idx++ {
-		e, ok := m.pages[idx]
-		if !ok {
-			m.mapped++ // new page; its frame materializes on first write
-		}
-		e.perm = perm
-		m.pages[idx] = e
-		if idx == last {
-			break
-		}
-	}
+	// New pages' frames materialize on first write.
+	m.mapped += last - first + 1 - m.edit(first, last, perm, editMap)
 	m.invalidate(first, last) // permissions changed
 }
 
-// Unmap removes the pages covering [addr, addr+size).
+// Unmap removes the pages covering [addr, addr+size). Their frames are
+// dropped, so a page mapped again later is demand-zero.
 func (m *Memory) Unmap(addr, size uint64) {
-	if size == 0 {
+	first, last, ok := pageSpan(addr, size)
+	if !ok {
 		return
 	}
-	first := addr >> PageShift
-	last := (addr + size - 1) >> PageShift
-	for idx := first; ; idx++ {
-		if _, ok := m.pages[idx]; ok {
-			delete(m.pages, idx)
-			m.mapped--
+	m.mapped -= m.edit(first, last, 0, editUnmap)
+	m.dropFrames(first, last)
+	m.invalidate(first, last)
+}
+
+// dropFrames forgets the frames of pages first..last, walking whichever
+// is smaller: the span or the frame map.
+func (m *Memory) dropFrames(first, last uint64) {
+	if len(m.frames) == 0 {
+		return
+	}
+	if last-first < uint64(len(m.frames)) {
+		for idx := first; ; idx++ {
+			delete(m.frames, idx)
+			if idx == last {
+				break
+			}
 		}
-		if idx == last {
-			break
+		return
+	}
+	for idx := range m.frames {
+		if idx >= first && idx <= last {
+			delete(m.frames, idx)
 		}
 	}
-	m.invalidate(first, last)
 }
 
 // Protect changes permissions on the pages covering [addr, addr+size).
 // Unmapped pages in the range are left unmapped.
 func (m *Memory) Protect(addr, size uint64, perm Perm) {
-	if size == 0 {
+	first, last, ok := pageSpan(addr, size)
+	if !ok {
 		return
 	}
-	first := addr >> PageShift
-	last := (addr + size - 1) >> PageShift
-	for idx := first; ; idx++ {
-		if e, ok := m.pages[idx]; ok {
-			e.perm = perm
-			m.pages[idx] = e
-		}
-		if idx == last {
-			break
-		}
-	}
+	m.edit(first, last, perm, editProtect)
 	m.invalidate(first, last)
 }
 
 // Mapped reports whether addr lies on a mapped page.
 func (m *Memory) Mapped(addr uint64) bool {
-	_, ok := m.pages[addr>>PageShift]
+	_, ok := m.lookup(addr >> PageShift)
 	return ok
 }
 
 // PermAt returns the permissions of the page containing addr (zero if
 // unmapped).
-func (m *Memory) PermAt(addr uint64) Perm {
-	if e, ok := m.pages[addr>>PageShift]; ok {
-		return e.perm
-	}
-	return 0
-}
+func (m *Memory) PermAt(addr uint64) Perm { return m.permOf(addr >> PageShift) }
 
 // MappedPages returns the number of mapped pages (for memory accounting).
 func (m *Memory) MappedPages() uint64 { return m.mapped }

@@ -243,3 +243,66 @@ func BenchmarkStore8(b *testing.B) {
 		m.Store(0x1000+uint64(i&0xFFF8), 8, uint64(i))
 	}
 }
+
+// TestRangeTable pins the range page table's shape and the semantics it
+// must keep: Map over mapped pages keeps their contents, Protect leaves
+// holes unmapped, Unmap drops frames (a re-mapped page is demand-zero),
+// and touching ranges of equal permission coalesce.
+func TestRangeTable(t *testing.T) {
+	m := New()
+	m.Map(0x10000, 0x8000, PermRW) // pages 0x10..0x17
+	if err := m.Store(0x12000, 8, 42); err != nil {
+		t.Fatal(err)
+	}
+	m.Map(0x11000, 0x2000, PermRead) // re-map pages 0x11..0x12
+	if v, err := m.Load(0x12000, 8); err != nil || v != 42 {
+		t.Errorf("re-mapped page lost its contents: %d, %v", v, err)
+	}
+	if got := len(m.ranges); got != 3 {
+		t.Errorf("ranges after split = %v, want 3", m.ranges)
+	}
+	m.Map(0x11000, 0x2000, PermRW) // same perm as neighbours: coalesce
+	if len(m.ranges) != 1 || m.MappedPages() != 8 {
+		t.Errorf("ranges after re-merge = %v (%d pages), want one range of 8", m.ranges, m.MappedPages())
+	}
+
+	m.Unmap(0x13000, 0x1000)
+	m.Protect(0x10000, 0x8000, PermRead)
+	if m.Mapped(0x13000) {
+		t.Error("Protect mapped a hole")
+	}
+	if len(m.ranges) != 2 || m.MappedPages() != 7 {
+		t.Errorf("ranges after unmap+protect = %v (%d pages)", m.ranges, m.MappedPages())
+	}
+
+	m.Unmap(0x12000, 0x1000)
+	m.Map(0x12000, 0x1000, PermRW)
+	if v, err := m.Load(0x12000, 8); err != nil || v != 0 {
+		t.Errorf("re-mapped page after Unmap = %d, %v, want demand-zero", v, err)
+	}
+	if len(m.frames) != 0 {
+		t.Errorf("Unmap left %d frames behind", len(m.frames))
+	}
+}
+
+// TestMapWrappedRangeClamps: a range running past 2^64 is clamped to the
+// top of the address space (it used to loop over ~2^52 page indexes).
+func TestMapWrappedRangeClamps(t *testing.T) {
+	m := New()
+	top := ^uint64(0) &^ (PageSize - 1) // last page
+	m.Map(top-PageSize, 3*PageSize, PermRW)
+	if got := m.MappedPages(); got != 2 {
+		t.Errorf("MappedPages = %d, want 2", got)
+	}
+	if !m.Mapped(top) || m.Mapped(0) {
+		t.Error("wrapped Map must cover the top pages and not page 0")
+	}
+	m.Protect(top, 2*PageSize, PermRead)
+	if m.PermAt(top) != PermRead || m.PermAt(top-PageSize) != PermRW {
+		t.Errorf("perms = %v %v", m.PermAt(top-PageSize), m.PermAt(top))
+	}
+	m.Unmap(top-PageSize, ^uint64(0))
+	if m.MappedPages() != 0 {
+		t.Errorf("MappedPages after wrapped Unmap = %d", m.MappedPages())
+	}
+}

@@ -233,6 +233,10 @@ func (h *Heap) RecordOf(id uint64) (AllocRecord, bool) {
 // byte short of the request; in canary mode the slot slack is filled
 // with the canary pattern.
 func (h *Heap) Malloc(size uint64) (uint64, error) {
+	if size > ^uint64(0)-Size {
+		// size+Size would wrap to a tiny slot request.
+		return 0, fmt.Errorf("redzone: malloc(%d) exceeds the address space", size)
+	}
 	slot, err := h.LF.Alloc(size + Size)
 	if err != nil {
 		return 0, err

@@ -2,6 +2,7 @@ package redzone
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -234,5 +235,30 @@ func TestQuickStateInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestMallocHugeSizeFails pins the out-of-memory path for requests near
+// 2^64: malloc(2^64-1) used to wrap size+Size to a 15-byte request and
+// return a live pointer, and malloc(2^64-21) reached the legacy region
+// with a page rounding that wrapped to zero and failed on the header
+// write instead of reporting out-of-memory.
+func TestMallocHugeSizeFails(t *testing.T) {
+	h := newHeap()
+	for _, size := range []uint64{1<<64 - 1, 1<<64 - 16, 1<<64 - 17, 1<<64 - 21, 1 << 63, lowfat.RegionSize + 1} {
+		p, err := h.Malloc(size)
+		if err == nil {
+			t.Errorf("Malloc(%#x) = %#x, want an out-of-memory error", size, p)
+			continue
+		}
+		if strings.Contains(err.Error(), "header write") {
+			t.Errorf("Malloc(%#x) failed inside the allocator: %v", size, err)
+		}
+	}
+	if p, err := h.Calloc(1, 1<<64-1); err == nil {
+		t.Errorf("Calloc(1, 2^64-1) = %#x, want an out-of-memory error", p)
+	}
+	if _, err := h.Malloc(64); err != nil {
+		t.Errorf("heap unusable after failed huge requests: %v", err)
 	}
 }

@@ -204,8 +204,35 @@ func (b *Binary) MaxAddr() uint64 {
 	return max
 }
 
-// CheckOverlaps verifies that no two sections overlap in the address space.
+// SectionRangeError reports a section whose address range [Addr,
+// Addr+Size) runs past the top of the 64-bit address space.
+type SectionRangeError struct {
+	Name       string
+	Addr, Size uint64
+}
+
+func (e *SectionRangeError) Error() string {
+	return fmt.Sprintf("relf: section %q at %#x with size %#x wraps past the end of the address space",
+		e.Name, e.Addr, e.Size)
+}
+
+// checkRange rejects a section whose end does not fit in 64 bits (End
+// would wrap, so overlap checks and loaders would misjudge its extent).
+func (s *Section) checkRange() error {
+	if s.End() < s.Addr {
+		return &SectionRangeError{Name: s.Name, Addr: s.Addr, Size: s.Size}
+	}
+	return nil
+}
+
+// CheckOverlaps verifies that every section's range fits in the address
+// space (a *SectionRangeError otherwise) and that no two sections overlap.
 func (b *Binary) CheckOverlaps() error {
+	for _, s := range b.Sections {
+		if err := s.checkRange(); err != nil {
+			return err
+		}
+	}
 	secs := make([]*Section, len(b.Sections))
 	copy(secs, b.Sections)
 	sort.Slice(secs, func(i, j int) bool { return secs[i].Addr < secs[j].Addr })
@@ -406,6 +433,9 @@ func Unmarshal(data []byte) (*Binary, error) {
 			return nil, err
 		}
 		if s.Size, err = r64(); err != nil {
+			return nil, err
+		}
+		if err := s.checkRange(); err != nil {
 			return nil, err
 		}
 		dlen, err := r64()

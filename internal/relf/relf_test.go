@@ -1,6 +1,7 @@
 package relf
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -241,5 +242,39 @@ func TestQuickMarshalRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWrappedSectionRejected: a section whose Addr+Size runs past 2^64
+// is rejected with a *SectionRangeError by both Unmarshal and
+// CheckOverlaps. Accepting it used to make loaders iterate ~2^52 page
+// indexes.
+func TestWrappedSectionRejected(t *testing.T) {
+	for _, s := range []*Section{
+		{Name: ".bss", Kind: SecBSS, Addr: 0xFFFF_FFFF_FFFF_F000, Size: 0x2000, Write: true},
+		{Name: ".bss", Kind: SecBSS, Addr: 0xFFFF_FFFF_FFFF_F000, Size: 0x1000, Write: true},
+		{Name: ".data", Kind: SecData, Addr: 0x1000, Size: ^uint64(0), Data: []byte{1}},
+	} {
+		b := sampleBinary()
+		b.AddSection(s)
+		var re *SectionRangeError
+		if err := b.CheckOverlaps(); !errors.As(err, &re) {
+			t.Errorf("CheckOverlaps(%#x+%#x) = %v, want *SectionRangeError", s.Addr, s.Size, err)
+		}
+		data, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Unmarshal(data); !errors.As(err, &re) {
+			t.Errorf("Unmarshal(%#x+%#x) = %v, want *SectionRangeError", s.Addr, s.Size, err)
+		} else if re.Name != s.Name || re.Addr != s.Addr || re.Size != s.Size {
+			t.Errorf("error fields = %+v", re)
+		}
+	}
+	// A section ending exactly one byte short of 2^64 still fits.
+	b := sampleBinary()
+	b.AddSection(&Section{Name: ".top", Kind: SecBSS, Addr: 0xFFFF_FFFF_FFFF_F000, Size: 0xFFF, Write: true})
+	if err := b.CheckOverlaps(); err != nil {
+		t.Errorf("top-of-space section rejected: %v", err)
 	}
 }

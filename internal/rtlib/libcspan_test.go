@@ -1,6 +1,7 @@
 package rtlib_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -79,6 +80,51 @@ func TestCallocOverflowReturnsNull(t *testing.T) {
 	}
 	if hv.ExitCode != 7 {
 		t.Errorf("hardened calloc overflow: exit %d, want 7", hv.ExitCode)
+	}
+}
+
+func TestMallocHugeReturnsNull(t *testing.T) {
+	// Requests whose size arithmetic wraps past 2^64 (size+header,
+	// size+redzone, page rounding, power-of-two rounding) must take the
+	// out-of-memory path and return NULL, in both allocators, and the
+	// program must carry on normally. Each huge request that yields a
+	// pointer adds its index to the exit code.
+	sizes := []uint64{1<<63 + 1, 1<<64 - 5, 1<<64 - 1, 1<<64 - 21}
+	bin := buildProg(t, func(b *asm.Builder) {
+		b.MovRI(isa.RBX, 0)
+		for i, size := range sizes {
+			ok := fmt.Sprintf("null%d", i)
+			b.Emit(isa.Inst{Op: isa.MOVABS, Form: isa.FRI, Reg: isa.RDI, Imm: int64(size)})
+			b.CallImport("malloc")
+			b.AluRI(isa.CMP, isa.RAX, 0)
+			b.Jcc(isa.JE, ok)
+			b.AluRI(isa.ADD, isa.RBX, int64(100<<i))
+			b.Label(ok)
+		}
+		b.MovRI(isa.RDI, 8)
+		b.CallImport("malloc")
+		b.AluRI(isa.CMP, isa.RAX, 0)
+		b.Jcc(isa.JE, "oom")
+		b.MovRR(isa.RAX, isa.RBX)
+		b.AluRI(isa.ADD, isa.RAX, 7)
+		b.Ret()
+		b.Label("oom")
+		b.MovRI(isa.RAX, 8)
+		b.Ret()
+	})
+	v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{MaxCycles: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.ExitCode != 7 {
+		t.Errorf("baseline malloc(huge): exit %d, want 7", v.ExitCode)
+	}
+	hv, _, err := rtlib.RunHardened(hardenDefault(t, bin), rtlib.RunConfig{MaxCycles: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hv.ExitCode != 7 || len(hv.Errors) != 0 {
+		t.Errorf("hardened malloc(huge): exit %d, errors %v, want 7 and none", hv.ExitCode, hv.Errors)
 	}
 }
 

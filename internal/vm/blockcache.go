@@ -8,9 +8,11 @@ package vm
 // into blocks — maximal fall-through sequences ending at the first
 // control transfer, TRAP patch site, or RTCALL — and Run executes a whole
 // block with nothing but a slice index per instruction. Blocks are
-// indexed by flat per-code-page tables (one pointer per page offset), so
+// indexed by sparse two-level per-code-page tables (64 chunks of 64
+// pointers, a chunk allocated on the first block that starts in it), so
 // locating the next block after a branch costs a single-entry page-cache
-// hit plus an array index in the common case.
+// hit plus two array indexes in the common case, and a touched code page
+// costs 512 bytes plus 512 per chunk in use rather than 32 KB.
 //
 // Block chaining removes even that cost from the steady state: each block
 // carries two successor slots — a fall-through slot (keyed by the fixed
@@ -75,10 +77,19 @@ type block struct {
 	trace   *trace
 }
 
+// Block-table geometry: a code page's offsets split into chunkCount
+// chunks of chunkLen entries each.
+const (
+	chunkBits  = 6
+	chunkLen   = 1 << chunkBits
+	chunkCount = mem.PageSize / chunkLen
+)
+
 // codePage indexes the blocks that begin on one 4 KiB code page by page
-// offset.
+// offset: chunk off>>chunkBits, slot off&(chunkLen-1). Chunks are
+// allocated on the first block that begins in them.
 type codePage struct {
-	blocks [mem.PageSize]*block
+	chunks [chunkCount]*[chunkLen]*block
 }
 
 // endsBlock reports whether op terminates a straight-line block: control
@@ -101,13 +112,22 @@ func (v *VM) blockAt(pc uint64) (*block, error) {
 		}
 		v.bcPageIdx, v.bcPage = idx, cp
 	}
-	b := cp.blocks[pc&pageOffMask]
+	off := pc & pageOffMask
+	chunk := cp.chunks[off>>chunkBits]
+	var b *block
+	if chunk != nil {
+		b = chunk[off&(chunkLen-1)]
+	}
 	if b == nil {
 		var err error
 		if b, err = v.buildBlock(pc); err != nil {
 			return nil, err
 		}
-		cp.blocks[pc&pageOffMask] = b
+		if chunk == nil {
+			chunk = new([chunkLen]*block)
+			cp.chunks[off>>chunkBits] = chunk
+		}
+		chunk[off&(chunkLen-1)] = b
 		v.nBlocks++
 		v.nBlockInsts += len(b.insts)
 		v.Flight.Record(obs.EvBlockEntry, 0, pc, 1)

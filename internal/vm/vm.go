@@ -359,7 +359,9 @@ type VM struct {
 	// traces embed predecoded instructions exactly like blocks do.
 	traces []*trace
 
-	icache map[uint64]*isa.Inst // legacy per-PC decode cache (Step)
+	// icache is the legacy per-PC decode cache (Step), created on first
+	// use: only the NoBlockCache path ever fills it.
+	icache map[uint64]*isa.Inst
 
 	// Decoded basic-block cache (see blockcache.go).
 	bcache      map[uint64]*codePage
@@ -486,7 +488,6 @@ func (v *VM) FlushTelemetry() {
 func New(m *mem.Memory) *VM {
 	return &VM{
 		Mem:       m,
-		icache:    make(map[uint64]*isa.Inst, 4096),
 		bcache:    make(map[uint64]*codePage),
 		bcPageIdx: ^uint64(0),
 	}
@@ -706,6 +707,9 @@ func (v *VM) fetch(addr uint64) (*isa.Inst, error) {
 		return nil, fmt.Errorf("vm: at %#x: %w", addr, err)
 	}
 	cp := in
+	if v.icache == nil {
+		v.icache = make(map[uint64]*isa.Inst, 4096)
+	}
 	v.icache[addr] = &cp
 	return &cp, nil
 }
@@ -721,7 +725,7 @@ func (v *VM) fetch(addr uint64) (*isa.Inst, error) {
 // the block tables are dropped.
 func (v *VM) FlushICache() {
 	v.Flight.Record(obs.EvICacheGen, 0, v.RIP, uint64(v.nBlocks))
-	v.icache = make(map[uint64]*isa.Inst, 4096)
+	v.icache = nil
 	v.bcache = make(map[uint64]*codePage)
 	v.bcPageIdx = ^uint64(0)
 	v.bcPage = nil

@@ -1,7 +1,9 @@
 package vm_test
 
 import (
+	"errors"
 	"testing"
+	"time"
 
 	"redfat/internal/asm"
 	"redfat/internal/heap"
@@ -535,5 +537,35 @@ func TestExitHostFunc(t *testing.T) {
 	})
 	if v.ExitCode != 7 {
 		t.Errorf("exit = %d, want 7", v.ExitCode)
+	}
+}
+
+// TestLoadRejectsWrappedSection: Load of a binary with a section whose
+// Addr+Size wraps past 2^64 returns a *relf.SectionRangeError instead of
+// mapping ~2^52 pages.
+func TestLoadRejectsWrappedSection(t *testing.T) {
+	b := asm.NewBuilder(asm.Options{})
+	b.Func("main")
+	b.MovRI(isa.RAX, 0)
+	b.Ret()
+	bin, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin.AddSection(&relf.Section{Name: ".bss", Kind: relf.SecBSS,
+		Addr: 0xFFFF_FFFF_FFFF_F000, Size: 0x2000, Write: true})
+	done := make(chan error, 1)
+	go func() {
+		m := mem.New()
+		done <- vm.New(m).Load(bin, rtlib.LibC(heap.New(m), m))
+	}()
+	select {
+	case err := <-done:
+		var re *relf.SectionRangeError
+		if !errors.As(err, &re) {
+			t.Fatalf("Load = %v, want *relf.SectionRangeError", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Load of a wrapped section did not return")
 	}
 }
