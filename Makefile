@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-host bench-history clean
+.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-host bench-history loc clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet plus the
 # repo-specific rfvet rules), build, tests (which include the TLB perf
@@ -85,9 +85,9 @@ edge-audit-smoke:
 bench-smoke:
 	$(GO) run ./cmd/rfbench -table1 -scale 0.02 -json results/bench.json
 
-# bench-host measures host wall-clock performance (VM dispatch strategies,
-# guest-memory TLB, block chaining, the superblock tier, worker-pool
-# scaling) and records it in results/BENCH_host.json.
+# bench-host measures host wall-clock performance (guest-memory TLB, the
+# superblock tier, the libc span twins, indirect-flow recovery,
+# worker-pool scaling) and records it in results/BENCH_host.json.
 bench-host:
 	$(GO) run ./cmd/rfbench -hostbench -progress=false
 
@@ -98,6 +98,14 @@ bench-host:
 bench-history:
 	$(GO) run ./cmd/rfbench -table1 -table2 -scale 0.02 -progress=false \
 		-runpack results/runpack-bench -history results/history
+
+# loc prints the root module's Go line counts, non-test and test, leaving
+# out the e2ebench module and its build directory: the figure of merit
+# of "same behaviour, least code" (ROADMAP aim 2). Not part of check.
+GOFILES = find . -name '*.go' -not -path './e2ebench/*' -not -path './.bench_build/*'
+loc:
+	@echo "non-test: $$($(GOFILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
+	@echo "test:     $$($(GOFILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
 clean:
 	rm -rf results

@@ -247,8 +247,9 @@ func BenchmarkHardenThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkVMExecution measures raw interpreter speed (guest
-// instructions per wall-clock second) on an uninstrumented workload.
+// BenchmarkVMExecution measures raw execution speed (guest instructions
+// per wall-clock second) on an uninstrumented workload, through the full
+// fast path: block cache, chaining, software TLB and superblock tier.
 func BenchmarkVMExecution(b *testing.B) {
 	bm := workload.ByName("bzip2")
 	cp := *bm
@@ -267,88 +268,10 @@ func BenchmarkVMExecution(b *testing.B) {
 		}
 		insts = res.Insts
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(insts), "guest-insts/op")
-}
-
-// BenchmarkVMDispatch compares the interpreter's two host dispatch
-// strategies on the same workload: the legacy per-instruction map icache
-// vs the decoded basic-block cache. Guest results are identical; only
-// host wall-clock differs.
-func BenchmarkVMDispatch(b *testing.B) {
-	bm := workload.ByName("bzip2")
-	cp := *bm
-	cp.RefScale = 20000
-	bin, err := cp.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := cp.RefInput()
-	for _, mode := range []struct {
-		name    string
-		noBlock bool
-	}{
-		{"map-icache", true},
-		{"block-cache", false},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := redfat.Run(bin, redfat.RunOptions{
-					Input: input, NoBlockCache: mode.noBlock,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts = res.Insts
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(insts)*float64(b.N)/secs/1e6, "guest-MIPS")
-			}
-		})
-	}
-}
-
-// BenchmarkBlockChain isolates block chaining on the dispatch workload:
-// the block cache with every exit walking the per-page tables (nochain)
-// vs steady-state exits following cached successor pointers (chain), with
-// the software TLB ablated as a third axis.
-func BenchmarkBlockChain(b *testing.B) {
-	bm := workload.ByName("bzip2")
-	cp := *bm
-	cp.RefScale = 20000
-	bin, err := cp.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	input := cp.RefInput()
-	for _, mode := range []struct {
-		name    string
-		noChain bool
-		noTLB   bool
-	}{
-		{"chain", false, false},
-		{"nochain", true, false},
-		{"chain-notlb", false, true},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			var insts uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				res, err := redfat.Run(bin, redfat.RunOptions{
-					Input: input, NoChain: mode.noChain, NoTLB: mode.noTLB,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				insts = res.Insts
-			}
-			b.StopTimer()
-			if secs := b.Elapsed().Seconds(); secs > 0 {
-				b.ReportMetric(float64(insts)*float64(b.N)/secs/1e6, "guest-MIPS")
-			}
-		})
+	if secs := b.Elapsed().Seconds(); secs > 0 {
+		b.ReportMetric(float64(insts)*float64(b.N)/secs/1e6, "guest-MIPS")
 	}
 }
 

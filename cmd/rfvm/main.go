@@ -23,12 +23,19 @@
 // (execution events plus profile samples) loadable in chrome://tracing.
 // All of it is host-side only: guest cycles are bit-identical either way.
 //
+// Run knobs: -nojit and -jit-threshold select the engine (the
+// superblock tier or the block interpreter; guest results are identical
+// either way), -noindirect disables the recovered-edge monitor, and
+// -nolibccheck, -quarantine, -canary and -underalloc select the libc and
+// allocator hardening modes, which are guest-visible. The flags fill one
+// redfat.RunOptions value.
+//
 // Run artifacts: -runpack DIR captures the run as a digest-signed
-// runpack (the executed binary, replay spec, packed result, forensic
-// reports, telemetry, flight-recorder dump) that `rfpack verify`
-// integrity-checks and `rfpack replay` reproduces byte-for-byte
-// (DESIGN.md §13). -runpack implies forensics so detection reports are
-// packed.
+// runpack (the executed binary, the replay spec — the JSON view of that
+// same RunOptions value — packed result, forensic reports, telemetry,
+// flight-recorder dump) that `rfpack verify` integrity-checks and
+// `rfpack replay` reproduces byte-for-byte (DESIGN.md §13). -runpack
+// implies forensics so detection reports are packed.
 //
 // Live introspection: -listen ADDR serves /metrics (Prometheus),
 // /snapshot (telemetry JSON), /traces (the JIT trace table with
@@ -94,9 +101,6 @@ func main() {
 	profInterval := flag.Uint64("profile-interval", 0, "guest cycles between profile samples (0 = default)")
 	folded := flag.String("folded", "", "write the guest profile as folded stacks (flamegraph input) to FILE")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (events + profile samples) to FILE")
-	noBlock := flag.Bool("noblock", false, "disable the VM's basic-block cache (host A/B validation)")
-	noChain := flag.Bool("nochain", false, "disable block chaining (host A/B validation)")
-	noTLB := flag.Bool("notlb", false, "disable the guest-memory software TLB (host A/B validation)")
 	noJIT := flag.Bool("nojit", false, "disable the superblock trace tier (host A/B validation)")
 	noIndirect := flag.Bool("noindirect", false, "disable the recovered-edge monitor for marker-built binaries (host A/B validation)")
 	jitThreshold := flag.Uint64("jit-threshold", 0, "block hotness before trace compilation (0 = default)")
@@ -150,9 +154,6 @@ func main() {
 		Memcheck:     *mcheck,
 		AbortOnError: *abort,
 		MaxCycles:    *max,
-		NoBlockCache: *noBlock,
-		NoChain:      *noChain,
-		NoTLB:        *noTLB,
 		NoJIT:        *noJIT,
 		NoIndirect:   *noIndirect,
 		JITThreshold: *jitThreshold,
@@ -316,23 +317,7 @@ func main() {
 		if rerr != nil {
 			fatal(rerr)
 		}
-		spec := runpack.RunSpec{
-			Input:        in,
-			Hardened:     *hardened,
-			Memcheck:     *mcheck,
-			Abort:        *abort,
-			MaxCycles:    *max,
-			Forensics:    true,
-			NoJIT:        *noJIT,
-			NoIndirect:   *noIndirect,
-			JITThreshold: *jitThreshold,
-
-			NoLibcCheck:     *noLibc,
-			QuarantineBytes: *quarantine,
-			Canary:          *canary,
-			UnderAllocEvery: *underAlloc,
-		}
-		if perr := runpack.PackRun(*packDir, os.Args[1:], raw, bin, spec, res, err, reg, flight.Dump()); perr != nil {
+		if perr := runpack.PackRun(*packDir, os.Args[1:], raw, bin, ro, res, err, reg, flight.Dump()); perr != nil {
 			fatal(perr)
 		}
 		fmt.Fprintf(os.Stderr, "rfvm: runpack written to %s\n", *packDir)

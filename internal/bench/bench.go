@@ -520,7 +520,7 @@ func detects(c *juliet.Case, reg *telemetry.Registry) (redfatHit, memcheckHit bo
 	if err != nil {
 		return false, false, err
 	}
-	v, _, rerr := rtlib.RunHardened(hard, rtlib.RunConfig{Input: juliet.Trigger(c), Abort: true, Metrics: reg})
+	v, _, rerr := rtlib.RunHardened(hard, rtlib.RunConfig{Input: juliet.Trigger(c), AbortOnError: true, Metrics: reg})
 	if _, ok := rerr.(*vm.MemError); ok {
 		redfatHit = true
 	} else if rerr != nil {
@@ -528,7 +528,7 @@ func detects(c *juliet.Case, reg *telemetry.Registry) (redfatHit, memcheckHit bo
 	}
 	redfatHit = redfatHit || len(v.Errors) > 0
 
-	mv, merr := memcheck.Run(bin, rtlib.RunConfig{Input: juliet.Trigger(c), Abort: true, Metrics: reg})
+	mv, merr := memcheck.Run(bin, rtlib.RunConfig{Input: juliet.Trigger(c), AbortOnError: true, Metrics: reg})
 	if _, ok := merr.(*vm.MemError); ok {
 		memcheckHit = true
 	} else if merr != nil {
@@ -612,7 +612,7 @@ func (h *Harness) Figure8(fillerFuncs int, scale uint64, w io.Writer) ([]Fig8Row
 			if err != nil {
 				return Fig8Row{}, fmt.Errorf("%s baseline: %w", name, err)
 			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, Abort: true, Metrics: reg})
+			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, AbortOnError: true, Metrics: reg})
 			if err != nil {
 				return Fig8Row{}, fmt.Errorf("%s hardened: %w", name, err)
 			}

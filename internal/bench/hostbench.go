@@ -21,18 +21,6 @@ import (
 // experiment harness scales over the worker pool. Guest results are
 // identical across all of these configurations; only elapsed time moves.
 
-// DispatchHostBench compares the interpreter's two dispatch strategies on
-// an uninstrumented workload: the legacy per-instruction map icache vs the
-// decoded basic-block cache.
-type DispatchHostBench struct {
-	GuestInsts     uint64  `json:"guest_insts"`     // instructions retired per run
-	MapNsPerInst   float64 `json:"map_ns_per_inst"` // legacy map icache
-	BlockNsPerInst float64 `json:"block_ns_per_inst"`
-	MapMIPS        float64 `json:"map_mips"` // guest MIPS (million insts / wall-second)
-	BlockMIPS      float64 `json:"block_mips"`
-	Improvement    float64 `json:"improvement"` // fractional dispatch-time reduction
-}
-
 // MemTLBHostBench compares guest-memory access latency through the
 // software TLB against the raw page-map lookup, plus the TLB hit rate
 // observed over the dispatch workload.
@@ -43,22 +31,11 @@ type MemTLBHostBench struct {
 	HitRate        float64 `json:"hit_rate"` // TLB hits / probes over the workload run
 }
 
-// BlockChainHostBench isolates the block-chaining layer: the block cache
-// with chaining disabled (every block exit walks the per-page tables) vs
-// chaining enabled (steady-state exits follow cached successor pointers).
-type BlockChainHostBench struct {
-	NoChainNsPerInst float64 `json:"nochain_ns_per_inst"`
-	ChainNsPerInst   float64 `json:"chain_ns_per_inst"`
-	NoChainMIPS      float64 `json:"nochain_mips"`
-	ChainMIPS        float64 `json:"chain_mips"`
-	Improvement      float64 `json:"improvement"`    // fractional dispatch-time reduction
-	ChainHitRate     float64 `json:"chain_hit_rate"` // chained / all block exits
-}
-
 // VMJITHostBench isolates the superblock tier: the chained block
 // interpreter with the tier disabled vs hot traces compiled into fused
 // Go closures, plus the tier's activity over one instrumented run.
 type VMJITHostBench struct {
+	GuestInsts     uint64  `json:"guest_insts"` // instructions retired per run
 	NoJITNsPerInst float64 `json:"nojit_ns_per_inst"`
 	JITNsPerInst   float64 `json:"jit_ns_per_inst"`
 	NoJITMIPS      float64 `json:"nojit_mips"`
@@ -113,21 +90,20 @@ type Table1HostBench struct {
 // HostBenchResult is the machine-readable output of RunHostBench
 // (exported by rfbench -hostbench to results/BENCH_host.json).
 type HostBenchResult struct {
-	GOOS       string              `json:"goos"`
-	GOARCH     string              `json:"goarch"`
-	GoVersion  string              `json:"go_version"`
-	NumCPU     int                 `json:"num_cpu"`
-	Dispatch   DispatchHostBench   `json:"vm_dispatch"`
-	MemTLB     MemTLBHostBench     `json:"mem_tlb"`
-	BlockChain BlockChainHostBench `json:"block_chain"`
-	VMJIT      VMJITHostBench      `json:"vm_jit"`
-	LibcSpan   []LibcSpanTwinBench `json:"libc_span"`
-	Indirect   IndirectHostBench   `json:"indirect"`
-	Table1     Table1HostBench     `json:"table1_parallel"`
+	GOOS      string              `json:"goos"`
+	GOARCH    string              `json:"goarch"`
+	GoVersion string              `json:"go_version"`
+	NumCPU    int                 `json:"num_cpu"`
+	MemTLB    MemTLBHostBench     `json:"mem_tlb"`
+	VMJIT     VMJITHostBench      `json:"vm_jit"`
+	LibcSpan  []LibcSpanTwinBench `json:"libc_span"`
+	Indirect  IndirectHostBench   `json:"indirect"`
+	Table1    Table1HostBench     `json:"table1_parallel"`
 }
 
-// RunHostBench measures both host-side benchmarks: VM dispatch (map vs
-// block cache) and Table 1 harness scaling (serial vs parallel pool).
+// RunHostBench measures every host-side benchmark: guest-memory TLB,
+// the superblock tier, the libc span twins, indirect-flow recovery, and
+// Table 1 harness scaling (serial vs parallel pool).
 func RunHostBench(parallel int, scale float64) (*HostBenchResult, error) {
 	res := &HostBenchResult{
 		GOOS:      runtime.GOOS,
@@ -137,12 +113,6 @@ func RunHostBench(parallel int, scale float64) (*HostBenchResult, error) {
 	}
 	bin, input, err := dispatchWorkload()
 	if err != nil {
-		return nil, err
-	}
-	if err := res.measureDispatch(bin, input); err != nil {
-		return nil, err
-	}
-	if err := res.measureBlockChain(bin, input); err != nil {
 		return nil, err
 	}
 	if err := res.measureMemTLB(bin, input); err != nil {
@@ -164,7 +134,7 @@ func RunHostBench(parallel int, scale float64) (*HostBenchResult, error) {
 }
 
 // dispatchWorkload builds the shared workload binary (bzip2 at a reduced
-// reference scale) used by the dispatch, chaining and TLB measurements.
+// reference scale) used by the TLB and superblock-tier measurements.
 func dispatchWorkload() (*relf.Binary, []uint64, error) {
 	bm := workload.ByName("bzip2")
 	cp := *bm
@@ -188,72 +158,6 @@ func measureConfig(bin *relf.Binary, input []uint64, cfg rtlib.RunConfig, runErr
 			}
 		}
 	})
-}
-
-func (r *HostBenchResult) measureDispatch(bin *relf.Binary, input []uint64) error {
-	probe, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: input})
-	if err != nil {
-		return err
-	}
-	insts := probe.Insts
-
-	// NoJIT on both sides: this section compares dispatch strategies
-	// (map icache vs block cache), not the superblock tier.
-	var runErr error
-	mapRes := measureConfig(bin, input, rtlib.RunConfig{NoBlockCache: true, NoJIT: true}, &runErr)
-	blockRes := measureConfig(bin, input, rtlib.RunConfig{NoJIT: true}, &runErr)
-	if runErr != nil {
-		return runErr
-	}
-
-	r.Dispatch = DispatchHostBench{
-		GuestInsts:     insts,
-		MapNsPerInst:   float64(mapRes.NsPerOp()) / float64(insts),
-		BlockNsPerInst: float64(blockRes.NsPerOp()) / float64(insts),
-		MapMIPS:        mips(insts, mapRes.NsPerOp()),
-		BlockMIPS:      mips(insts, blockRes.NsPerOp()),
-	}
-	if mapRes.NsPerOp() > 0 {
-		r.Dispatch.Improvement = 1 - float64(blockRes.NsPerOp())/float64(mapRes.NsPerOp())
-	}
-	return nil
-}
-
-// measureBlockChain isolates chaining: block cache with vs without the
-// successor links, plus the chain hit rate over one instrumented run.
-func (r *HostBenchResult) measureBlockChain(bin *relf.Binary, input []uint64) error {
-	// NoJIT on both sides (and on the hit-rate probe): this section
-	// isolates the chaining layer; with traces enabled most block exits
-	// never reach the chain lookup at all.
-	var runErr error
-	noChain := measureConfig(bin, input, rtlib.RunConfig{NoChain: true, NoJIT: true}, &runErr)
-	chain := measureConfig(bin, input, rtlib.RunConfig{NoJIT: true}, &runErr)
-	if runErr != nil {
-		return runErr
-	}
-
-	reg := telemetry.New()
-	if _, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: input, Metrics: reg, NoJIT: true}); err != nil {
-		return err
-	}
-	snap := reg.Snapshot()
-	hits := snap.Counters["vm.icache.chain.hits"]
-	misses := snap.Counters["vm.icache.chain.misses"]
-
-	insts := r.Dispatch.GuestInsts
-	r.BlockChain = BlockChainHostBench{
-		NoChainNsPerInst: float64(noChain.NsPerOp()) / float64(insts),
-		ChainNsPerInst:   float64(chain.NsPerOp()) / float64(insts),
-		NoChainMIPS:      mips(insts, noChain.NsPerOp()),
-		ChainMIPS:        mips(insts, chain.NsPerOp()),
-	}
-	if noChain.NsPerOp() > 0 {
-		r.BlockChain.Improvement = 1 - float64(chain.NsPerOp())/float64(noChain.NsPerOp())
-	}
-	if total := hits + misses; total > 0 {
-		r.BlockChain.ChainHitRate = float64(hits) / float64(total)
-	}
-	return nil
 }
 
 // measureMemTLB times raw guest loads over a multi-page working set with
@@ -316,6 +220,12 @@ func (r *HostBenchResult) measureMemTLB(bin *relf.Binary, input []uint64) error 
 // cache + chaining + traces) against the same path with the tier
 // disabled, plus compile/deopt activity from one instrumented run.
 func (r *HostBenchResult) measureVMJIT(bin *relf.Binary, input []uint64) error {
+	probe, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: input})
+	if err != nil {
+		return err
+	}
+	insts := probe.Insts
+
 	var runErr error
 	nojit := measureConfig(bin, input, rtlib.RunConfig{NoJIT: true}, &runErr)
 	jit := measureConfig(bin, input, rtlib.RunConfig{}, &runErr)
@@ -329,8 +239,8 @@ func (r *HostBenchResult) measureVMJIT(bin *relf.Binary, input []uint64) error {
 	}
 	snap := reg.Snapshot()
 
-	insts := r.Dispatch.GuestInsts
 	r.VMJIT = VMJITHostBench{
+		GuestInsts:     insts,
 		NoJITNsPerInst: float64(nojit.NsPerOp()) / float64(insts),
 		JITNsPerInst:   float64(jit.NsPerOp()) / float64(insts),
 		NoJITMIPS:      mips(insts, nojit.NsPerOp()),
@@ -538,22 +448,12 @@ func (r *HostBenchResult) Render(w io.Writer) {
 		return
 	}
 	fmt.Fprintf(w, "host: %s/%s, %d CPUs, %s\n", r.GOOS, r.GOARCH, r.NumCPU, r.GoVersion)
-	fmt.Fprintf(w, "vm dispatch (%d guest insts):\n", r.Dispatch.GuestInsts)
-	fmt.Fprintf(w, "  map icache    %7.1f ns/inst  %7.1f guest MIPS\n",
-		r.Dispatch.MapNsPerInst, r.Dispatch.MapMIPS)
-	fmt.Fprintf(w, "  block cache   %7.1f ns/inst  %7.1f guest MIPS  (%.1f%% faster)\n",
-		r.Dispatch.BlockNsPerInst, r.Dispatch.BlockMIPS, 100*r.Dispatch.Improvement)
 	fmt.Fprintf(w, "mem tlb (%.1f%% hit rate on workload):\n", 100*r.MemTLB.HitRate)
 	fmt.Fprintf(w, "  page map      %7.2f ns/access\n", r.MemTLB.MapNsPerAccess)
 	fmt.Fprintf(w, "  tlb           %7.2f ns/access  (%.2fx faster)\n",
 		r.MemTLB.TLBNsPerAccess, r.MemTLB.Speedup)
-	fmt.Fprintf(w, "block chaining (%.1f%% chain hit rate):\n", 100*r.BlockChain.ChainHitRate)
-	fmt.Fprintf(w, "  no chain      %7.1f ns/inst  %7.1f guest MIPS\n",
-		r.BlockChain.NoChainNsPerInst, r.BlockChain.NoChainMIPS)
-	fmt.Fprintf(w, "  chained       %7.1f ns/inst  %7.1f guest MIPS  (%.1f%% faster)\n",
-		r.BlockChain.ChainNsPerInst, r.BlockChain.ChainMIPS, 100*r.BlockChain.Improvement)
-	fmt.Fprintf(w, "superblock tier (%d traces, %.1f%% of insts compiled, %d deopts):\n",
-		r.VMJIT.Compiled, 100*r.VMJIT.CompiledShare, r.VMJIT.Deopts)
+	fmt.Fprintf(w, "superblock tier (%d guest insts, %d traces, %.1f%% of insts compiled, %d deopts):\n",
+		r.VMJIT.GuestInsts, r.VMJIT.Compiled, 100*r.VMJIT.CompiledShare, r.VMJIT.Deopts)
 	fmt.Fprintf(w, "  interpreter   %7.1f ns/inst  %7.1f guest MIPS\n",
 		r.VMJIT.NoJITNsPerInst, r.VMJIT.NoJITMIPS)
 	fmt.Fprintf(w, "  compiled      %7.1f ns/inst  %7.1f guest MIPS  (%.1f%% faster)\n",

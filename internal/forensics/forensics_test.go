@@ -105,7 +105,7 @@ func runForensic(t *testing.T, bin *relf.Binary, input []uint64) (*vm.VM, []*for
 		t.Fatal(err)
 	}
 	v, rt, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: input, Abort: true, Forensics: true,
+		Input: input, AbortOnError: true, Forensics: true,
 	})
 	if err != nil {
 		if _, ok := err.(*vm.MemError); !ok {
@@ -391,12 +391,12 @@ func TestForensicsCycleIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, input := range [][]uint64{{2}, {40}} {
-		plain, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, Abort: true})
+		plain, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, AbortOnError: true})
 		if _, ok := err.(*vm.MemError); err != nil && !ok {
 			t.Fatal(err)
 		}
 		full, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: input, Abort: true,
+			Input: input, AbortOnError: true,
 			Forensics: true,
 			Profiler:  &vm.GuestProfiler{Interval: 16},
 		})
@@ -466,7 +466,7 @@ func TestFoldedOutputConsumable(t *testing.T) {
 	}
 	prof := &vm.GuestProfiler{Interval: 16}
 	if _, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: []uint64{2}, Abort: true, Profiler: prof,
+		Input: []uint64{2}, AbortOnError: true, Profiler: prof,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -520,7 +520,7 @@ func TestChromeTraceParses(t *testing.T) {
 	tracer := telemetry.NewTracer(256)
 	prof := &vm.GuestProfiler{Interval: 16}
 	if _, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: []uint64{2}, Abort: true, EventTrace: tracer, Profiler: prof,
+		Input: []uint64{2}, AbortOnError: true, EventTrace: tracer, Profiler: prof,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -385,8 +385,28 @@ func EncodeLen(in *Inst) (int, error) {
 	return len(buf), nil
 }
 
+// NonCanonicalError reports bytes that parse as an instruction but are
+// not the encoding Encode produces for it: an immediate-width code that
+// disagrees with the form (or is wider than the value needs), a redundant
+// or unused prefix, or a ModRM/SIB/displacement shape other than the
+// shortest one. Decode rejects them, so decode∘encode is the identity
+// that e9's relocation of displaced instructions and the translation
+// validator rely on.
+type NonCanonicalError struct {
+	Op     Op
+	Form   Form
+	Reason string
+}
+
+// Error implements the error interface.
+func (e *NonCanonicalError) Error() string {
+	return fmt.Sprintf("isa: non-canonical %v %v encoding: %s", e.Op, e.Form, e.Reason)
+}
+
 // Decode decodes a single instruction from code. It returns the decoded
-// instruction with Len set to the number of bytes consumed.
+// instruction with Len set to the number of bytes consumed. Only the
+// canonical encoding of an instruction (the bytes Encode produces for
+// it) is accepted; any other parse fails with a *NonCanonicalError.
 func Decode(code []byte) (Inst, error) {
 	var in Inst
 	pos := 0
@@ -397,29 +417,30 @@ func Decode(code []byte) (Inst, error) {
 		return nil
 	}
 
-	// Prefixes.
+	// Prefixes. Encode emits at most one segment prefix, then at most one
+	// REX prefix carrying at least one bit; any other run of prefixes is
+	// non-canonical.
 	seg := SegNone
 	var rex byte
-	for {
+	haveREX, prefixOK := false, true
+prefixes:
+	for ; ; pos++ {
 		if err := need(1); err != nil {
 			return in, err
 		}
-		b := code[pos]
-		switch {
-		case b == prefixFS:
+		switch b := code[pos]; {
+		case b == prefixFS || b == prefixGS:
+			prefixOK = prefixOK && seg == SegNone && !haveREX
 			seg = SegFS
-			pos++
-			continue
-		case b == prefixGS:
-			seg = SegGS
-			pos++
-			continue
+			if b == prefixGS {
+				seg = SegGS
+			}
 		case b >= prefixREX && b <= prefixREX|7:
-			rex = b & 7
-			pos++
-			continue
+			prefixOK = prefixOK && !haveREX && b != prefixREX
+			haveREX, rex = true, b&7
+		default:
+			break prefixes
 		}
-		break
 	}
 
 	op := Op(code[pos])
@@ -434,7 +455,7 @@ func Decode(code []byte) (Inst, error) {
 	in.Mem = Mem{Base: RegNone, Index: RegNone, Scale: 1}
 
 	if isNoOperand(op) {
-		if seg != SegNone || rex != 0 {
+		if seg != SegNone || haveREX {
 			return in, fmt.Errorf("isa: prefix on no-operand op %v", op)
 		}
 		in.Form = FNone
@@ -453,6 +474,12 @@ func Decode(code []byte) (Inst, error) {
 	if !validForm(op, in.Form) {
 		return in, fmt.Errorf("isa: op %v does not accept form %v", op, in.Form)
 	}
+	if !prefixOK {
+		return in, nonCanonical(&in, "redundant, empty or misordered prefix")
+	}
+	// fields collects the REX bits whose register fields this encoding
+	// has; a REX bit without one is a prefix Encode would not emit.
+	var fields byte
 
 	decodeMem := func(modrm byte) error {
 		mod := modrm >> 6
@@ -461,6 +488,7 @@ func Decode(code []byte) (Inst, error) {
 		m.Seg = seg
 		switch {
 		case mod == 0 && rm == 0b101:
+			fields &^= rexB
 			m.Base = RIP
 			if err := need(4); err != nil {
 				return err
@@ -474,6 +502,7 @@ func Decode(code []byte) (Inst, error) {
 			}
 			sib := code[pos]
 			pos++
+			fields |= rexX
 			m.Scale = 1 << (sib >> 6)
 			// index=0b100 means "no index" only without REX.X; with
 			// REX.X set it denotes %r12 (x86-64 rule).
@@ -486,17 +515,24 @@ func Decode(code []byte) (Inst, error) {
 			}
 			base := sib & 7
 			if base == 0b101 && mod == 0 {
+				fields &^= rexB
 				m.Base = RegNone
 				if err := need(4); err != nil {
 					return err
 				}
 				m.Disp = int32(binary.LittleEndian.Uint32(code[pos:]))
 				pos += 4
+				if !m.HasIndex() && sib>>6 != 0 {
+					return nonCanonical(&in, "absolute address with SIB scale bits set")
+				}
 				return nil
 			}
 			m.Base = Reg(base)
 			if rex&rexB != 0 {
 				m.Base += 8
+			}
+			if !m.HasIndex() && base != 0b100 {
+				return nonCanonical(&in, "SIB byte without index for base %v", m.Base)
 			}
 		default:
 			m.Base = Reg(rm)
@@ -518,11 +554,25 @@ func Decode(code []byte) (Inst, error) {
 			m.Disp = int32(binary.LittleEndian.Uint32(code[pos:]))
 			pos += 4
 		}
+		// Encode picks the shortest displacement: none when zero (unless
+		// the base's low bits are 101, whose mod=0 slot means RIP or
+		// absolute), disp8 when it fits, else disp32.
+		want := byte(2)
+		switch {
+		case m.Disp == 0 && byte(m.Base)&7 != 0b101:
+			want = 0
+		case m.Disp >= -128 && m.Disp <= 127:
+			want = 1
+		}
+		if mod != want {
+			return nonCanonical(&in, "mod=%d for displacement %d, want mod=%d", mod, m.Disp, want)
+		}
 		return nil
 	}
 
 	switch in.Form {
 	case FR, FRI:
+		fields = rexR
 		if err := need(1); err != nil {
 			return in, err
 		}
@@ -531,11 +581,15 @@ func Decode(code []byte) (Inst, error) {
 		if modrm>>6 != 3 {
 			return in, fmt.Errorf("isa: register form with mod=%d", modrm>>6)
 		}
+		if modrm&7 != 0 {
+			return in, nonCanonical(&in, "register form with rm=%d", modrm&7)
+		}
 		in.Reg = Reg((modrm >> 3) & 7)
 		if rex&rexR != 0 {
 			in.Reg += 8
 		}
 	case FRR:
+		fields = rexR | rexB
 		if err := need(1); err != nil {
 			return in, err
 		}
@@ -553,6 +607,7 @@ func Decode(code []byte) (Inst, error) {
 			in.Reg2 += 8
 		}
 	case FRM, FMR:
+		fields = rexR | rexB
 		if err := need(1); err != nil {
 			return in, err
 		}
@@ -566,14 +621,24 @@ func Decode(code []byte) (Inst, error) {
 			return in, err
 		}
 	case FM, FMI:
+		fields = rexB
 		if err := need(1); err != nil {
 			return in, err
 		}
 		modrm := code[pos]
 		pos++
+		if (modrm>>3)&7 != 0 {
+			return in, nonCanonical(&in, "memory form with reg=%d", (modrm>>3)&7)
+		}
 		if err := decodeMem(modrm); err != nil {
 			return in, err
 		}
+	}
+	if seg != SegNone && !in.HasMem() {
+		return in, nonCanonical(&in, "segment prefix without a memory operand")
+	}
+	if rex&^fields != 0 {
+		return in, nonCanonical(&in, "REX bits %#x without register fields", rex&^fields)
 	}
 
 	switch iw {
@@ -596,15 +661,18 @@ func Decode(code []byte) (Inst, error) {
 		in.Imm = int64(binary.LittleEndian.Uint64(code[pos:]))
 		pos += 8
 	}
-
-	// Immediate-bearing forms must actually have an immediate.
-	switch in.Form {
-	case FRI, FMI, FI, FRel8, FRel32:
-		if iw == immNone {
-			return in, fmt.Errorf("isa: form %v lacks immediate", in.Form)
-		}
+	// The immediate width must be the one the form (and, for FRI/FMI,
+	// the value) dictates; this also rejects immediate-bearing forms
+	// without an immediate.
+	if want, err := immWidth(&in); err != nil || iw != want {
+		return in, nonCanonical(&in, "immediate width code %d, want %d", iw, want)
 	}
 
 	in.Len = uint8(pos)
 	return in, nil
+}
+
+// nonCanonical builds the *NonCanonicalError Decode returns for in.
+func nonCanonical(in *Inst, format string, args ...any) error {
+	return &NonCanonicalError{Op: in.Op, Form: in.Form, Reason: fmt.Sprintf(format, args...)}
 }

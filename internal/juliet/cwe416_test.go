@@ -32,7 +32,7 @@ func TestUAFDetection(t *testing.T) {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
 		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: juliet.Trigger(c), Abort: true,
+			Input: juliet.Trigger(c), AbortOnError: true,
 		})
 		detected := len(v.Errors) > 0
 		if me, ok := err.(*vm.MemError); ok {
@@ -63,7 +63,7 @@ func TestUAFGoodVariantsClean(t *testing.T) {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
 		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: juliet.GoodInput(c), Abort: true,
+			Input: juliet.GoodInput(c), AbortOnError: true,
 		})
 		if err != nil || len(v.Errors) != 0 {
 			t.Errorf("%s (good): false alarm: %v %v", c.ID, err, v.Errors)
@@ -82,7 +82,7 @@ func TestDoubleFreeDetection(t *testing.T) {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
 		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: juliet.Trigger(c), Abort: true,
+			Input: juliet.Trigger(c), AbortOnError: true,
 		})
 		detected := false
 		for _, e := range v.Errors {
@@ -108,7 +108,7 @@ func TestDoubleFreeDetection(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gv, _, err := rtlib.RunHardened(ghard, rtlib.RunConfig{Abort: true})
+		gv, _, err := rtlib.RunHardened(ghard, rtlib.RunConfig{AbortOnError: true})
 		if err != nil || len(gv.Errors) != 0 {
 			t.Errorf("%s (good): false alarm: %v %v", c.ID, err, gv.Errors)
 		}

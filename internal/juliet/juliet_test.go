@@ -39,7 +39,7 @@ func runCase(t *testing.T, c *juliet.Case) (bool, bool) {
 		t.Fatalf("%s: %v", c.ID, err)
 	}
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: juliet.Trigger(c), Abort: true,
+		Input: juliet.Trigger(c), AbortOnError: true,
 	})
 	rf := len(v.Errors) > 0
 	if _, ok := err.(*vm.MemError); ok {
@@ -48,7 +48,7 @@ func runCase(t *testing.T, c *juliet.Case) (bool, bool) {
 		t.Fatalf("%s: hardened run: %v", c.ID, err)
 	}
 
-	mv, err := memcheck.Run(bin, rtlib.RunConfig{Input: juliet.Trigger(c), Abort: true})
+	mv, err := memcheck.Run(bin, rtlib.RunConfig{Input: juliet.Trigger(c), AbortOnError: true})
 	mc := len(mv.Errors) > 0
 	if _, ok := err.(*vm.MemError); ok {
 		mc = true
@@ -106,7 +106,7 @@ func TestGoodVariantsClean(t *testing.T) {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
 		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: juliet.GoodInput(c), Abort: true,
+			Input: juliet.GoodInput(c), AbortOnError: true,
 		})
 		if err != nil || len(v.Errors) != 0 {
 			t.Errorf("%s (good): false alarm: %v %v", c.ID, err, v.Errors)

@@ -38,7 +38,7 @@ func TestLibcGoodVariantsClean(t *testing.T) {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
 		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: juliet.GoodInput(c), Abort: true,
+			Input: juliet.GoodInput(c), AbortOnError: true,
 		})
 		if err != nil || len(v.Errors) != 0 {
 			t.Errorf("%s (good): false alarm: %v %v", c.ID, err, v.Errors)

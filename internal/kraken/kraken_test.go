@@ -60,7 +60,7 @@ func TestChromeHardensWritesOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		hv, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, Abort: true})
+		hv, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, AbortOnError: true})
 		if err != nil {
 			t.Fatalf("%s: hardened: %v", kraken.Benchmarks[i], err)
 		}

@@ -20,7 +20,6 @@ package memcheck
 import (
 	"redfat/internal/heap"
 	"redfat/internal/isa"
-	"redfat/internal/mem"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
 	"redfat/internal/shadow"
@@ -145,23 +144,20 @@ const (
 	errInvalidFree = constError("memcheck: invalid free")
 )
 
-// Run executes bin under the Memcheck model.
-func Run(bin *relf.Binary, cfg rtlib.RunConfig) (*vm.VM, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.MaxCycles
-	if v.MaxCycles == 0 {
-		v.MaxCycles = 20_000_000_000 // Memcheck runs ~10× longer
-	}
-	v.AbortOnError = cfg.Abort
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
+// defaultMaxCycles is Memcheck's cycle budget when cfg.MaxCycles is 0:
+// DBI runs take ~10× longer than native ones.
+const defaultMaxCycles = 20_000_000_000
 
-	w := NewWrapper(heap.New(m))
+// Run executes bin under the Memcheck model. The DBI model arms no
+// landing-pad enforcement or indirect-edge monitor, and its BlockHook
+// keeps execution on the interpreter tier.
+func Run(bin *relf.Binary, cfg rtlib.RunConfig) (*vm.VM, error) {
+	v, m := cfg.NewMachine(defaultMaxCycles)
+	v.AbortOnError = cfg.AbortOnError
+
+	h := heap.New(m)
+	h.AttachTelemetry(cfg.Metrics)
+	w := NewWrapper(h)
 	cfg.AttachForensics(v, w)
 	env := rtlib.LibC(w, m)
 

@@ -1,6 +1,7 @@
 package memcheck_test
 
 import (
+	"reflect"
 	"testing"
 
 	"redfat/internal/asm"
@@ -8,6 +9,7 @@ import (
 	"redfat/internal/memcheck"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
+	"redfat/internal/telemetry"
 	"redfat/internal/vm"
 )
 
@@ -32,7 +34,7 @@ func buildArrayProg(t *testing.T) *relf.Binary {
 
 func TestBenignRun(t *testing.T) {
 	bin := buildArrayProg(t)
-	v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{2}, Abort: true})
+	v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{2}, AbortOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestBenignRun(t *testing.T) {
 func TestDetectsIncrementalOverflow(t *testing.T) {
 	// array[5] hits the right redzone: Memcheck catches this.
 	bin := buildArrayProg(t)
-	_, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{5}, Abort: true})
+	_, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{5}, AbortOnError: true})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrOOBWrite {
 		t.Errorf("incremental overflow: %v", err)
 	}
@@ -72,7 +74,7 @@ func TestMissesNonIncrementalOverflow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{8}, Abort: true})
+	v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{8}, AbortOnError: true})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("Memcheck unexpectedly caught the redzone skip: %v %v", err, v.Errors)
 	}
@@ -92,7 +94,7 @@ func TestDetectsUseAfterFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = memcheck.Run(bin, rtlib.RunConfig{Abort: true})
+	_, err = memcheck.Run(bin, rtlib.RunConfig{AbortOnError: true})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrUseAfterFree {
 		t.Errorf("UaF: %v", err)
 	}
@@ -130,5 +132,28 @@ func TestDBIOverheadCharged(t *testing.T) {
 	slowdown := float64(mc.Cycles) / float64(base.Cycles)
 	if slowdown < 3 || slowdown > 40 {
 		t.Errorf("Memcheck slowdown %.1f× outside plausible range", slowdown)
+	}
+}
+
+// TestTelemetryAttached checks that a Memcheck run feeds the attached
+// registry like every other runner (the VM's retired-instruction counter
+// matches the run), and that attaching it changes no guest-visible
+// result: cycles and detections are identical with and without it.
+func TestTelemetryAttached(t *testing.T) {
+	bin := buildArrayProg(t)
+	for _, input := range []uint64{2, 5} {
+		plain, plainErr := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{input}})
+		reg := telemetry.New()
+		v, err := memcheck.Run(bin, rtlib.RunConfig{Input: []uint64{input}, Metrics: reg})
+		if (err == nil) != (plainErr == nil) {
+			t.Fatalf("input %d: error divergence: %v vs %v", input, plainErr, err)
+		}
+		if got := reg.CounterValue("vm.retired.total"); got != v.Insts || got == 0 {
+			t.Errorf("input %d: vm.retired.total = %d, want %d", input, got, v.Insts)
+		}
+		if plain.Cycles != v.Cycles || !reflect.DeepEqual(plain.Errors, v.Errors) {
+			t.Errorf("input %d: telemetry perturbed the run: cycles %d vs %d, errors %v vs %v",
+				input, plain.Cycles, v.Cycles, plain.Errors, v.Errors)
+		}
 	}
 }

@@ -160,7 +160,7 @@ func Run(orig *relf.Binary, suite []rtlib.RunConfig, prodOpt redfat.Options) (*r
 	}
 	p := NewProfiler()
 	for i, cfg := range suite {
-		cfg.Abort = false // the profiling binary never aborts
+		cfg.AbortOnError = false // the profiling binary never aborts
 		_, rt, err := rtlib.RunHardened(profBin, cfg)
 		if err != nil {
 			return nil, nil, nil, fmt.Errorf("profile: test %d: %w", i, err)

@@ -90,7 +90,7 @@ func TestTwoPhaseWorkflow(t *testing.T) {
 	}
 	// The production binary runs the previously false-positive input
 	// cleanly and still computes the right result.
-	v, rt, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: []uint64{64}, Abort: true})
+	v, rt, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: []uint64{64}, AbortOnError: true})
 	if err != nil {
 		t.Fatalf("production run: %v", err)
 	}
@@ -191,7 +191,7 @@ func TestRealErrorDuringProfiling(t *testing.T) {
 		t.Errorf("buggy site allow-listed: %v", allow)
 	}
 	// Production still detects the incremental overflow via redzones.
-	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{Input: []uint64{5}, Abort: true})
+	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{Input: []uint64{5}, AbortOnError: true})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrOOBWrite {
 		t.Errorf("redzone fallback missed the overflow: %v", err)
 	}

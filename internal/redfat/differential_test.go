@@ -142,7 +142,7 @@ func TestDifferentialRandomPrograms(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d config %d: %v", trial, ci, err)
 			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 			if err != nil {
 				t.Fatalf("trial %d config %d run: %v", trial, ci, err)
 			}
@@ -170,11 +170,11 @@ func TestDifferentialRandomizedAllocator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plain, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+		plain, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		rnd, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true, RandomizeHeap: true})
+		rnd, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true, RandomizeHeap: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,7 +209,7 @@ func runDetect(t *testing.T, c *juliet.Case, opt redfat.Options) detection {
 		t.Fatalf("%s: harden (%+v): %v", c.ID, opt, err)
 	}
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: juliet.Trigger(c), Abort: true,
+		Input: juliet.Trigger(c), AbortOnError: true,
 	})
 	var d detection
 	d.exitCode = v.ExitCode

@@ -60,7 +60,7 @@ func TestHardenedBenignRun(t *testing.T) {
 		}
 		// In-bounds indices 0..4.
 		v, rt, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: []uint64{0, 1, 2, 3, 4, 999}, Abort: true,
+			Input: []uint64{0, 1, 2, 3, 4, 999}, AbortOnError: true,
 		})
 		if err != nil {
 			t.Fatalf("benign run failed (%+v): %v", opt, err)
@@ -88,7 +88,7 @@ func TestHardenedMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hv, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, Abort: true})
+	hv, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, AbortOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestDetectsIncrementalOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input: []uint64{0, 5, 999}, Abort: true,
+			Input: []uint64{0, 5, 999}, AbortOnError: true,
 		})
 		me, ok := err.(*vm.MemError)
 		if !ok {
@@ -160,7 +160,7 @@ func TestDetectsNonIncrementalOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = rtlib.RunHardened(full, rtlib.RunConfig{
-		Input: []uint64{attackerIdx}, Abort: true,
+		Input: []uint64{attackerIdx}, AbortOnError: true,
 	})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrOOBWrite {
 		t.Errorf("full check missed non-incremental overflow: %v", err)
@@ -173,7 +173,7 @@ func TestDetectsNonIncrementalOverflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _, err := rtlib.RunHardened(rz, rtlib.RunConfig{
-		Input: []uint64{attackerIdx}, Abort: true,
+		Input: []uint64{attackerIdx}, AbortOnError: true,
 	})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("redzone-only unexpectedly caught the skip: %v %v", err, v.Errors)
@@ -199,7 +199,7 @@ func TestDetectsUseAfterFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrUseAfterFree {
 		t.Errorf("use-after-free not detected: %v", err)
 	}
@@ -213,7 +213,7 @@ func TestDetectsRedzoneUnderflow(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: []uint64{^uint64(0), 999}, Abort: true, // index −1
+		Input: []uint64{^uint64(0), 999}, AbortOnError: true, // index −1
 	})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrOOBWrite {
 		t.Errorf("redzone underflow not detected: %v", err)
@@ -231,7 +231,7 @@ func TestPaddingOverflowDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: []uint64{5, 999}, Abort: true, // index 5 = offset 40 = padding
+		Input: []uint64{5, 999}, AbortOnError: true, // index 5 = offset 40 = padding
 	})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrOOBWrite {
 		t.Errorf("padding overflow not detected: %v", err)
@@ -264,7 +264,7 @@ func TestWriteOnlyModeSkipsReads(t *testing.T) {
 	if rep.SkippedReads == 0 {
 		t.Error("no reads skipped in write-only mode")
 	}
-	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("write-only mode flagged a read: %v %v", err, v.Errors)
 	}
@@ -274,7 +274,7 @@ func TestWriteOnlyModeSkipsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = rtlib.RunHardened(hard2, rtlib.RunConfig{Abort: true})
+	_, _, err = rtlib.RunHardened(hard2, rtlib.RunConfig{AbortOnError: true})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrOOBRead {
 		t.Errorf("OOB read not detected with read checking: %v", err)
 	}
@@ -308,7 +308,7 @@ func TestFalsePositiveAndAllowList(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = rtlib.RunHardened(full, rtlib.RunConfig{Input: validInput, Abort: true})
+	_, _, err = rtlib.RunHardened(full, rtlib.RunConfig{Input: validInput, AbortOnError: true})
 	if _, ok := err.(*vm.MemError); !ok {
 		t.Fatalf("expected false positive from naive lowfat hardening, got %v", err)
 	}
@@ -351,7 +351,7 @@ func TestFalsePositiveAndAllowList(t *testing.T) {
 	if rep.FullChecks == 0 {
 		t.Error("allow-list left no full checks at all")
 	}
-	v, _, err := rtlib.RunHardened(prod, rtlib.RunConfig{Input: validInput, Abort: true})
+	v, _, err := rtlib.RunHardened(prod, rtlib.RunConfig{Input: validInput, AbortOnError: true})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("allow-listed binary still false-positives: %v %v", err, v.Errors)
 	}
@@ -422,7 +422,7 @@ func TestOptimizationsReduceCycles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 		if err != nil {
 			t.Fatalf("config %d: %v", ci, err)
 		}
@@ -445,7 +445,7 @@ func TestStrippedBinaryHardens(t *testing.T) {
 		t.Fatal("no checks on stripped binary")
 	}
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Input: []uint64{0, 1, 999}, Abort: true,
+		Input: []uint64{0, 1, 999}, AbortOnError: true,
 	})
 	if err != nil || v.ExitCode != 2 {
 		t.Errorf("stripped hardened run: exit=%d err=%v", v.ExitCode, err)
@@ -474,7 +474,7 @@ func TestPICBinaryHardens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}

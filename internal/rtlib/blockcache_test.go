@@ -13,13 +13,11 @@ import (
 )
 
 // stripHostOnly removes the vm.icache.* and vm.jit.* metrics from a
-// snapshot: they describe host-side machinery — the decode cache, whose
-// accounting legitimately differs between the map icache and the block
-// cache (per-PC entries vs predecoded block instructions), and the
-// superblock tier, which only exists when the JIT knob is on. Everything
-// else — retired counts, loads, stores, branches, cycles, check and
-// allocator metrics — is guest-derived and must be bit-identical across
-// the dispatch strategies.
+// snapshot: they describe host-side machinery — the block cache and the
+// superblock tier, whose activity legitimately differs with the tier on
+// or off. Everything else — retired counts, loads, stores, branches,
+// cycles, check and allocator metrics — is guest-derived and must be
+// bit-identical across the engines.
 func stripHostOnly(s *telemetry.Snapshot) *telemetry.Snapshot {
 	hostOnly := func(name string) bool {
 		return strings.HasPrefix(name, "vm.icache.") || strings.HasPrefix(name, "vm.jit.")
@@ -42,43 +40,28 @@ func stripHostOnly(s *telemetry.Snapshot) *telemetry.Snapshot {
 	return s
 }
 
-// fastPathConfigs is the host fast-path knob matrix: {block cache +
-// chaining + superblock tier, no JIT, no chaining, map icache} × {TLB,
-// no TLB}. The first entry (everything on) is the reference the rest are
-// diffed against. NoChain implies no JIT (traces are built over chained
-// successors), so the noChain rows ablate both layers at once and the
-// noJIT rows isolate just the tier.
+// fastPathConfigs is the engine identity matrix: the superblock tier
+// (the reference) and the block interpreter it must reproduce exactly.
 var fastPathConfigs = []struct {
-	name                           string
-	noBlock, noChain, noTLB, noJIT bool
+	name  string
+	noJIT bool
 }{
-	{"block+chain+jit+tlb", false, false, false, false},
-	{"block+chain+jit", false, false, true, false},
-	{"block+chain+tlb", false, false, false, true},
-	{"block+chain", false, false, true, true},
-	{"block+tlb", false, true, false, true},
-	{"block", false, true, true, true},
-	{"map+tlb", true, false, false, true},
-	{"map", true, false, true, true},
+	{"jit", false},
+	{"nojit", true},
 }
 
-// runBoth executes the same binary under every fast-path knob combination
-// and fails the test on any guest-visible divergence from the reference
-// (all fast paths enabled).
+// runBoth executes the same binary under every engine configuration and
+// fails the test on any guest-visible divergence from the reference.
 func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, error)) {
 	t.Helper()
-	exec := func(noBlock, noChain, noTLB, noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+	exec := func(noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
 		reg := telemetry.New()
-		v, err := run(rtlib.RunConfig{
-			NoBlockCache: noBlock, NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT,
-			Metrics: reg,
-		})
+		v, err := run(rtlib.RunConfig{NoJIT: noJIT, Metrics: reg})
 		return v, stripHostOnly(reg.Snapshot()), err
 	}
-	ref := fastPathConfigs[0]
-	refVM, refTel, refErr := exec(ref.noBlock, ref.noChain, ref.noTLB, ref.noJIT)
+	refVM, refTel, refErr := exec(fastPathConfigs[0].noJIT)
 	for _, c := range fastPathConfigs[1:] {
-		gotVM, gotTel, gotErr := exec(c.noBlock, c.noChain, c.noTLB, c.noJIT)
+		gotVM, gotTel, gotErr := exec(c.noJIT)
 		label := name + "/" + c.name
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error divergence: ref %v, got %v", label, refErr, gotErr)
@@ -108,8 +91,8 @@ func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, e
 }
 
 // TestBlockCacheIdentity runs the whole workload suite — baseline and
-// fully hardened — under both dispatch strategies and requires
-// bit-identical guest results.
+// fully hardened — under both engines and requires bit-identical guest
+// results.
 func TestBlockCacheIdentity(t *testing.T) {
 	bms := workload.All()
 	if testing.Short() {
@@ -141,9 +124,10 @@ func TestBlockCacheIdentity(t *testing.T) {
 }
 
 // TestFastPathForensicsIdentity runs a hardened workload with a planted
-// error under forensics and the guest profiler across the whole knob
-// matrix: error reports and profile samples are derived from guest state
-// (cycles, PCs, stacks), so they must be bit-identical on every path.
+// error plainly (on the superblock tier) and under forensics plus the
+// guest profiler (which pins the interpreter tier): cycle counts and the
+// detected errors themselves — kind, address, PC, site — must be
+// bit-identical; only the forensic backtraces are extra.
 func TestFastPathForensicsIdentity(t *testing.T) {
 	bm := workload.ByName("calculix") // planted out-of-bounds read
 	cp := *bm
@@ -157,47 +141,43 @@ func TestFastPathForensicsIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := cp.RefInput()
-
-	type forensicRun struct {
-		v       *vm.VM
-		samples []vm.ProfSample
+	plain, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input})
+	if err != nil {
+		t.Fatalf("plain run: %v", err)
 	}
-	exec := func(noBlock, noChain, noTLB, noJIT bool) forensicRun {
-		prof := &vm.GuestProfiler{Interval: 64}
-		v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-			Input:        input,
-			NoBlockCache: noBlock, NoChain: noChain, NoTLB: noTLB, NoJIT: noJIT,
-			Forensics: true,
-			Profiler:  prof,
-		})
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return forensicRun{v: v, samples: prof.Samples()}
+	prof := &vm.GuestProfiler{Interval: 64}
+	full, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
+		Input: input, Forensics: true, Profiler: prof,
+	})
+	if err != nil {
+		t.Fatalf("forensics run: %v", err)
 	}
-	refCfg := fastPathConfigs[0]
-	ref := exec(refCfg.noBlock, refCfg.noChain, refCfg.noTLB, refCfg.noJIT)
-	if len(ref.v.Errors) == 0 {
+	if len(plain.Errors) == 0 {
 		t.Fatal("calculix run detected no errors; forensics path unexercised")
 	}
-	for _, c := range fastPathConfigs[1:] {
-		got := exec(c.noBlock, c.noChain, c.noTLB, c.noJIT)
-		if ref.v.Cycles != got.v.Cycles || ref.v.Insts != got.v.Insts {
-			t.Errorf("%s: cycles/insts differ: ref %d/%d, got %d/%d",
-				c.name, ref.v.Cycles, ref.v.Insts, got.v.Cycles, got.v.Insts)
+	if prof.SampleCount() == 0 {
+		t.Fatal("profiler took no samples")
+	}
+	if plain.Cycles != full.Cycles || plain.Insts != full.Insts {
+		t.Errorf("cycles/insts differ: plain %d/%d, forensics %d/%d",
+			plain.Cycles, plain.Insts, full.Cycles, full.Insts)
+	}
+	stripped := make([]vm.MemError, len(full.Errors))
+	for i, e := range full.Errors {
+		if e.Stack == nil {
+			t.Errorf("error %d: forensics captured no backtrace", i)
 		}
-		if !reflect.DeepEqual(ref.v.Errors, got.v.Errors) {
-			t.Errorf("%s: detected errors differ", c.name)
-		}
-		if !reflect.DeepEqual(ref.samples, got.samples) {
-			t.Errorf("%s: profiler samples differ (%d vs %d stacks)",
-				c.name, len(ref.samples), len(got.samples))
-		}
+		e.Stack = nil
+		stripped[i] = e
+	}
+	if !reflect.DeepEqual(plain.Errors, stripped) {
+		t.Errorf("detected errors differ:\nplain:     %v\nforensics: %v", plain.Errors, stripped)
 	}
 }
 
 // TestBlockCacheCycleBudgetIdentity checks that the cycle-budget abort
-// fires at the same cycle count on both paths, including mid-block.
+// fires at the same cycle count on both engines, including mid-block and
+// mid-trace.
 func TestBlockCacheCycleBudgetIdentity(t *testing.T) {
 	bm := workload.ByName("bzip2")
 	cp := *bm

@@ -16,112 +16,141 @@ import (
 	"redfat/internal/vm"
 )
 
-// RunConfig parameterizes an execution.
+// RunConfig is the one set of run knobs, shared by every runner here,
+// by memcheck, by redfat.RunOptions and by the runpack RunSpec (both are
+// aliases of it). Its JSON view is the RunSpec that run packs record and
+// replay: every guest-visible or tier knob carries a JSON key, and the
+// host-only observers (json:"-") are never replayed — they cannot change
+// guest cycles, detections or output.
 type RunConfig struct {
-	Input     []uint64
-	MaxCycles uint64 // 0 → 2e9
-	Abort     bool   // abort on detected memory errors (hardening mode)
+	// Input is the program's input vector (consumed by rf_input).
+	Input []uint64 `json:"input,omitempty"`
 
-	// RandomizeHeap enables the low-fat allocator's placement
-	// randomization (the basic heap randomization paper §8 mentions).
-	RandomizeHeap bool
+	// Hardened and Memcheck select the runner in redfat.Run: the RedFat
+	// runtime (required for binaries produced by Harden) or the
+	// Valgrind-Memcheck model; neither means the baseline allocator. The
+	// runners in this package ignore them.
+	Hardened bool `json:"hardened,omitempty"`
+	Memcheck bool `json:"memcheck,omitempty"`
 
-	// QuarantineBytes overrides the free quarantine budget (-1 disables
-	// the quarantine entirely, 0 keeps the default).
-	QuarantineBytes int64
+	// AbortOnError stops at the first detected memory error (hardening
+	// deployments); otherwise errors are recorded and execution
+	// continues. Baseline runs ignore it.
+	AbortOnError bool `json:"abort,omitempty"`
 
-	// NoLibcCheck disables the hardened libc span intrinsics, reverting
-	// the modelled libc to its unchecked baseline bindings. Unlike the
-	// NoTLB/NoJIT family this knob is guest-visible — span checks charge
-	// cycles and produce detections — so it is recorded in runpack
-	// RunSpecs and replayed.
-	NoLibcCheck bool
+	// MaxCycles bounds execution (0 = 2e9, or 20e9 under Memcheck).
+	MaxCycles uint64 `json:"max_cycles,omitempty"`
 
-	// Canary arms canary-poisoned redzones: allocation slack is filled
-	// with redzone.CanaryByte, verified on free and on span-check
-	// crossings (libredfat's REDFAT_CANARY mode).
-	Canary bool
-
-	// UnderAllocEvery, when >0, under-allocates roughly one in every N
-	// heap objects by a single byte (libredfat's REDFAT_TEST self-test
-	// mode, deterministic via vm.NextRand). Induced detections carry a
-	// "self-test under-allocation" note tag.
-	UnderAllocEvery uint64
-
-	// TraceWriter, when set, receives one line per executed instruction
-	// (address and disassembly), up to TraceLimit lines (0 = 10000).
-	TraceWriter io.Writer
-	TraceLimit  int
-
-	// Metrics, when set, receives counters/gauges/histograms from every
-	// instrumented layer (VM dispatch, allocators, checks). Telemetry is
-	// host-side only: it never alters guest cycle accounting.
-	Metrics *telemetry.Registry
-
-	// EventTrace, when set, records execution events (instruction
-	// retirement, trampoline dispatch, check outcomes, alloc/free) into
-	// the bounded ring buffer.
-	EventTrace *telemetry.Tracer
-
-	// NoBlockCache runs the VM on its legacy per-instruction decode
-	// cache instead of the basic-block cache. A host-side validation
-	// knob: guest results are identical either way, only wall-clock
-	// differs.
-	NoBlockCache bool
-
-	// NoChain disables block chaining (direct block→successor links)
-	// while keeping the block cache itself. Host-side validation knob,
-	// same identity guarantee as NoBlockCache.
-	NoChain bool
-
-	// NoTLB disables the guest-memory software TLB, forcing every page
-	// access through the page-map lookup. Host-side validation knob,
-	// same identity guarantee as NoBlockCache.
-	NoTLB bool
+	// Forensics enables allocation-site backtrace capture in the bound
+	// allocator and guest-backtrace capture on trapped memory errors,
+	// feeding the forensic report builder. Guest cycle counts are
+	// bit-identical with it on or off.
+	Forensics bool `json:"forensics,omitempty"`
 
 	// NoJIT disables the superblock tier (compiled traces over hot
-	// chained blocks), pinning execution to the block interpreter.
-	// Host-side validation knob, same identity guarantee as
-	// NoBlockCache.
-	NoJIT bool
+	// chained blocks), pinning execution to the block interpreter. Guest
+	// results are identical either way; JIT vs NoJIT is the engines'
+	// bit-identity reference pair.
+	NoJIT bool `json:"no_jit,omitempty"`
 
 	// NoIndirect disables the recovered-edge soundness monitor that is
 	// otherwise armed for marker-built binaries (host-side telemetry:
 	// vm.indirect.escape.count). It does NOT disable the landing-pad
 	// enforcement itself — that is binary semantics, owned by the binary
 	// via its .rf.jt marker, and must not vary with an ablation knob.
-	NoIndirect bool
+	NoIndirect bool `json:"no_indirect,omitempty"`
+
+	// JITThreshold overrides the block-hotness threshold at which
+	// traces are compiled (0 keeps vm.DefaultJITThreshold).
+	JITThreshold uint64 `json:"jit_threshold,omitempty"`
+
+	// NoLibcCheck disables the hardened libc span intrinsics (and, under
+	// Memcheck, its libc interposition), reverting the modelled libc to
+	// its unchecked baseline bindings. Guest-visible: span checks charge
+	// cycles and produce detections.
+	NoLibcCheck bool `json:"no_libc_check,omitempty"`
+
+	// QuarantineBytes overrides the free quarantine budget (-1 disables
+	// the quarantine entirely, 0 keeps the default). Hardened runs only.
+	QuarantineBytes int64 `json:"quarantine_bytes,omitempty"`
+
+	// Canary arms canary-poisoned redzones: allocation slack is filled
+	// with redzone.CanaryByte, verified on free and on span-check
+	// crossings (libredfat's REDFAT_CANARY mode). Hardened runs only.
+	Canary bool `json:"canary,omitempty"`
+
+	// UnderAllocEvery, when >0, under-allocates roughly one in every N
+	// heap objects by a single byte (libredfat's REDFAT_TEST self-test
+	// mode, deterministic via vm.NextRand). Induced detections carry a
+	// "self-test under-allocation" note tag. Hardened runs only.
+	UnderAllocEvery uint64 `json:"under_alloc_every,omitempty"`
+
+	// RandomizeHeap enables the low-fat allocator's placement
+	// randomization (the basic heap randomization paper §8 mentions).
+	RandomizeHeap bool `json:"randomize_heap,omitempty"`
+
+	// ForensicsDepth bounds the captured backtraces (0 = default 8).
+	ForensicsDepth int `json:"forensics_depth,omitempty"`
+
+	// Trace, when set, receives one line per executed instruction
+	// (address and disassembly), up to TraceLimit lines (0 = 10000).
+	Trace      io.Writer `json:"-"`
+	TraceLimit int       `json:"-"`
+
+	// Metrics, when set, receives counters/gauges/histograms from every
+	// instrumented layer (VM dispatch, allocators, checks). Telemetry is
+	// host-side only: it never alters guest cycle accounting.
+	Metrics *telemetry.Registry `json:"-"`
+
+	// EventTrace, when set, records execution events (instruction
+	// retirement, trampoline dispatch, check outcomes, alloc/free) into
+	// the bounded ring buffer.
+	EventTrace *telemetry.Tracer `json:"-"`
 
 	// IndirectHook, when set, observes every indirect JMP/CALL transfer
 	// (pc → target) before it commits. Host-side observability only —
 	// the differential edge oracle uses it to compare actual transfers
 	// against the statically recovered target sets.
-	IndirectHook func(pc, target uint64)
-
-	// JITThreshold overrides the block-hotness threshold at which
-	// traces are compiled (0 keeps vm.DefaultJITThreshold).
-	JITThreshold uint64
-
-	// Forensics enables allocation-site backtrace capture in the bound
-	// allocator and guest-backtrace capture on trapped memory errors,
-	// feeding the forensic report builder. Host-side only: guest cycle
-	// counts are bit-identical with it on or off.
-	Forensics bool
-
-	// ForensicsDepth bounds the captured backtraces (0 = default 8).
-	ForensicsDepth int
+	IndirectHook func(pc, target uint64) `json:"-"`
 
 	// Profiler, when set, samples guest execution by cycle budget from
 	// the dispatch loop (see vm.GuestProfiler). Host-side only.
-	Profiler *vm.GuestProfiler
+	Profiler *vm.GuestProfiler `json:"-"`
 
 	// Flight, when set, is the always-on flight recorder fed by the VM
 	// and guest memory (dispatch events, deopts with reason, TLB flushes,
 	// check failures, budget aborts). Unlike Profiler and the hooks it
 	// never disables the superblock tier, and the ring's content is
-	// guest-deterministic. Host-side only: a deliberately un-replayed
-	// knob, absent from runpack RunSpecs.
-	Flight *obs.Flight
+	// guest-deterministic. Host-side only.
+	Flight *obs.Flight `json:"-"`
+}
+
+// defaultMaxCycles is the cycle budget of baseline and hardened runs
+// when MaxCycles is 0.
+const defaultMaxCycles = 2_000_000_000
+
+// NewMachine builds the guest memory and VM for one run and wires the
+// knobs every runner shares: input, cycle budget (defaultBudget when
+// MaxCycles is 0), superblock-tier knobs, flight recorder, execution
+// trace and telemetry. What differs between runners — allocator,
+// bindings, AbortOnError, indirect-flow enforcement, forensics — stays
+// with the runner. Exported for runner packages (memcheck).
+func (c *RunConfig) NewMachine(defaultBudget uint64) (*vm.VM, *mem.Memory) {
+	m := mem.New()
+	v := vm.New(m)
+	v.Input = c.Input
+	v.MaxCycles = c.MaxCycles
+	if v.MaxCycles == 0 {
+		v.MaxCycles = defaultBudget
+	}
+	v.NoJIT = c.NoJIT
+	v.JITThreshold = c.JITThreshold
+	v.Flight, m.Flight = c.Flight, c.Flight
+	c.attachTrace(v)
+	if c.Metrics != nil || c.EventTrace != nil {
+		v.AttachTelemetry(c.Metrics, c.EventTrace)
+	}
+	return v, m
 }
 
 // attachIndirect arms the CET-style landing-pad machinery when every
@@ -192,23 +221,9 @@ func (c *RunConfig) AttachForensics(v *vm.VM, alloc Allocator) {
 	}
 }
 
-// attachTelemetry wires the configured registry and tracer into a VM.
-func (c *RunConfig) attachTelemetry(v *vm.VM) {
-	if c.Metrics != nil || c.EventTrace != nil {
-		v.AttachTelemetry(c.Metrics, c.EventTrace)
-	}
-}
-
-// AttachFlight wires the flight recorder into a VM and its memory.
-// Exported for runner packages (memcheck) that build their own VM.
-func (c *RunConfig) AttachFlight(v *vm.VM, m *mem.Memory) {
-	v.Flight = c.Flight
-	m.Flight = c.Flight
-}
-
-// AttachTrace installs the execution tracer on v if configured.
-func (c *RunConfig) AttachTrace(v *vm.VM) {
-	if c.TraceWriter == nil {
+// attachTrace installs the execution tracer on v if configured.
+func (c *RunConfig) attachTrace(v *vm.VM) {
+	if c.Trace == nil {
 		return
 	}
 	limit := c.TraceLimit
@@ -221,7 +236,7 @@ func (c *RunConfig) AttachTrace(v *vm.VM) {
 			return
 		}
 		n++
-		fmt.Fprintf(c.TraceWriter, "%10x: %s\n", pc, in.String())
+		fmt.Fprintf(c.Trace, "%10x: %s\n", pc, in.String())
 	}
 }
 
@@ -246,29 +261,12 @@ func (c *RunConfig) newHeap(v *vm.VM, m *mem.Memory) *redzone.Heap {
 	return h
 }
 
-func (c *RunConfig) maxCycles() uint64 {
-	if c.MaxCycles == 0 {
-		return 2_000_000_000
-	}
-	return c.MaxCycles
-}
-
 // RunBaseline executes an uninstrumented binary with the glibc-style
 // allocator. Returns the VM after execution (inspect ExitCode, Cycles,
-// Output) and the run error, if any.
+// Output) and the run error, if any. AbortOnError is ignored: the
+// baseline allocator detects nothing.
 func RunBaseline(bin *relf.Binary, cfg RunConfig) (*vm.VM, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.maxCycles()
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	v.NoJIT = cfg.NoJIT
-	v.JITThreshold = cfg.JITThreshold
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
-	cfg.attachTelemetry(v)
+	v, m := cfg.NewMachine(defaultMaxCycles)
 	cfg.attachIndirect(v, bin)
 	h := heap.New(m)
 	h.AttachTelemetry(cfg.Metrics)
@@ -285,19 +283,8 @@ func RunBaseline(bin *relf.Binary, cfg RunConfig) (*vm.VM, error) {
 // model) and the check routine is bound to the site table. It returns the
 // VM and the runtime (for profiling counters and coverage).
 func RunHardened(bin *relf.Binary, cfg RunConfig) (*vm.VM, *Runtime, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.maxCycles()
-	v.AbortOnError = cfg.Abort
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	v.NoJIT = cfg.NoJIT
-	v.JITThreshold = cfg.JITThreshold
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
-	cfg.attachTelemetry(v)
+	v, m := cfg.NewMachine(defaultMaxCycles)
+	v.AbortOnError = cfg.AbortOnError
 	cfg.attachIndirect(v, bin)
 	h := cfg.newHeap(v, m)
 	cfg.AttachForensics(v, h)
@@ -329,19 +316,8 @@ func RunHardened(bin *relf.Binary, cfg RunConfig) (*vm.VM, *Runtime, error) {
 // The returned runtimes parallel the instrumented modules, libraries
 // first, main last (if instrumented).
 func RunLinked(main *relf.Binary, libs []*relf.Binary, cfg RunConfig) (*vm.VM, []*Runtime, error) {
-	m := mem.New()
-	v := vm.New(m)
-	v.Input = cfg.Input
-	v.MaxCycles = cfg.maxCycles()
-	v.AbortOnError = cfg.Abort
-	v.NoBlockCache = cfg.NoBlockCache
-	v.NoChain = cfg.NoChain
-	v.NoJIT = cfg.NoJIT
-	v.JITThreshold = cfg.JITThreshold
-	m.NoTLB = cfg.NoTLB
-	cfg.AttachFlight(v, m)
-	cfg.AttachTrace(v)
-	cfg.attachTelemetry(v)
+	v, m := cfg.NewMachine(defaultMaxCycles)
+	v.AbortOnError = cfg.AbortOnError
 	cfg.attachIndirect(v, append([]*relf.Binary{main}, libs...)...)
 	h := cfg.newHeap(v, m)
 	cfg.AttachForensics(v, h)

@@ -67,7 +67,7 @@ func TestMetadataHardeningDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, err = rtlib.RunLinked(hard, []*relf.Binary{lib},
-		rtlib.RunConfig{Abort: true})
+		rtlib.RunConfig{AbortOnError: true})
 	me, ok := err.(*vm.MemError)
 	if !ok {
 		t.Fatalf("corrupted metadata not detected: %v", err)
@@ -89,7 +89,7 @@ func TestNoSizeCheckMissesCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _, err := rtlib.RunLinked(hard, []*relf.Binary{lib},
-		rtlib.RunConfig{Abort: true})
+		rtlib.RunConfig{AbortOnError: true})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("-size run flagged the forged-SIZE overflow anyway: %v %v",
 			err, v.Errors)
@@ -124,13 +124,13 @@ func TestQuarantinePolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+	_, _, err = rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 	if me, ok := err.(*vm.MemError); !ok || me.Kind != vm.ErrUseAfterFree {
 		t.Errorf("quarantined UaF not detected: %v", err)
 	}
 
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Abort: true, QuarantineBytes: -1,
+		AbortOnError: true, QuarantineBytes: -1,
 	})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("without quarantine the reused-slot write should be silent: %v %v",
@@ -166,12 +166,12 @@ func TestRandomizedHeapStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+	plain, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rnd, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Abort: true, RandomizeHeap: true,
+		AbortOnError: true, RandomizeHeap: true,
 	})
 	if err != nil {
 		t.Fatal(err)

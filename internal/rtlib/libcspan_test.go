@@ -249,14 +249,14 @@ func TestSpanUAFThroughLibcNeedsQuarantine(t *testing.T) {
 		b.Ret()
 	})
 	hard := hardenDefault(t, bin)
-	_, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true})
+	_, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true})
 	me, ok := err.(*vm.MemError)
 	if !ok || me.Kind != vm.ErrUseAfterFree {
 		t.Errorf("quarantined libc UaF not detected: %v", err)
 	} else if !strings.Contains(me.Note, "memcpy source") {
 		t.Errorf("detection note missing the operand: %q", me.Note)
 	}
-	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Abort: true, QuarantineBytes: -1})
+	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{AbortOnError: true, QuarantineBytes: -1})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("without quarantine the reused-slot read should be silent: %v %v", err, v.Errors)
 	}
@@ -333,7 +333,7 @@ func TestCanarySmashDetectedOnFree(t *testing.T) {
 	})
 	hard := hardenDefault(t, bin)
 	_, _, err := rtlib.RunLinked(hard, []*relf.Binary{lib},
-		rtlib.RunConfig{Abort: true, Canary: true})
+		rtlib.RunConfig{AbortOnError: true, Canary: true})
 	me, ok := err.(*vm.MemError)
 	if !ok || me.Kind != vm.ErrCorruptMeta {
 		t.Fatalf("smashed canary not detected on free: %v", err)
@@ -342,7 +342,7 @@ func TestCanarySmashDetectedOnFree(t *testing.T) {
 		t.Errorf("component = %q, want redzone", me.Component)
 	}
 	// With the mode off the smash is invisible (the slack is dead bytes).
-	v, _, err := rtlib.RunLinked(hard, []*relf.Binary{lib}, rtlib.RunConfig{Abort: true})
+	v, _, err := rtlib.RunLinked(hard, []*relf.Binary{lib}, rtlib.RunConfig{AbortOnError: true})
 	if err != nil || len(v.Errors) != 0 {
 		t.Errorf("canary off: smash should be silent: %v %v", err, v.Errors)
 	}

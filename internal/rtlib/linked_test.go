@@ -89,7 +89,7 @@ func TestUninstrumentedLibraryUnprotected(t *testing.T) {
 	}
 	attackIdx := uint64(8) // next slot's payload: invisible to redzones too
 	v, rts, err := rtlib.RunLinked(hardMain, []*relf.Binary{lib},
-		rtlib.RunConfig{Input: []uint64{attackIdx}, Abort: true})
+		rtlib.RunConfig{Input: []uint64{attackIdx}, AbortOnError: true})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestSeparatelyInstrumentedLibraryProtected(t *testing.T) {
 
 	// Benign index: clean run, identical result.
 	v, rts, err := rtlib.RunLinked(hardMain, []*relf.Binary{hardLib},
-		rtlib.RunConfig{Input: []uint64{2}, Abort: true})
+		rtlib.RunConfig{Input: []uint64{2}, AbortOnError: true})
 	if err != nil || v.ExitCode != 42 {
 		t.Fatalf("benign linked run: exit=%d err=%v", v.ExitCode, err)
 	}
@@ -130,7 +130,7 @@ func TestSeparatelyInstrumentedLibraryProtected(t *testing.T) {
 
 	// Attack through the library: now detected.
 	_, _, err = rtlib.RunLinked(hardMain, []*relf.Binary{hardLib},
-		rtlib.RunConfig{Input: []uint64{8}, Abort: true})
+		rtlib.RunConfig{Input: []uint64{8}, AbortOnError: true})
 	me, ok := err.(*vm.MemError)
 	if !ok {
 		t.Fatalf("library overflow not detected: %v", err)
@@ -179,7 +179,7 @@ func TestLibraryCallingLibc(t *testing.T) {
 		t.Fatal(err)
 	}
 	v, _, err := rtlib.RunLinked(main, []*relf.Binary{hardLib},
-		rtlib.RunConfig{Abort: true})
+		rtlib.RunConfig{AbortOnError: true})
 	if err != nil || v.ExitCode != 123 {
 		t.Fatalf("exit=%d err=%v", v.ExitCode, err)
 	}

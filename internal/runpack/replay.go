@@ -329,21 +329,7 @@ func replayRun(p *Pack, man *Manifest) (*ReplayReport, error) {
 		return nil, err
 	}
 	spec := man.Run
-	res, runErr := redfat.Run(bin, redfat.RunOptions{
-		Input:           spec.Input,
-		Hardened:        spec.Hardened,
-		Memcheck:        spec.Memcheck,
-		AbortOnError:    spec.Abort,
-		MaxCycles:       spec.MaxCycles,
-		Forensics:       spec.Forensics,
-		NoJIT:           spec.NoJIT,
-		NoIndirect:      spec.NoIndirect,
-		JITThreshold:    spec.JITThreshold,
-		NoLibcCheck:     spec.NoLibcCheck,
-		QuarantineBytes: spec.QuarantineBytes,
-		Canary:          spec.Canary,
-		UnderAllocEvery: spec.UnderAllocEvery,
-	})
+	res, runErr := redfat.Run(bin, *spec)
 	if res == nil {
 		return nil, runErr
 	}

@@ -464,9 +464,10 @@ func TestVerifyDetectsTampering(t *testing.T) {
 
 // TestFlightIsHostOnly pins the observability knobs outside the replay
 // contract: flight.json is sealed in the pack (the tamper matrix covers
-// it) but the RunSpec carries no flight or listen field, so replay —
-// which runs without any recorder or server attached — still reproduces
-// the packed result byte-for-byte and never re-derives the flight dump.
+// it) but the RunSpec's JSON view carries no flight or listen key, so
+// replay — which runs without any recorder or server attached — still
+// reproduces the packed result byte-for-byte and never re-derives the
+// flight dump.
 func TestFlightIsHostOnly(t *testing.T) {
 	dir, _, _ := makeRunPack(t)
 	p, err := Open(dir)

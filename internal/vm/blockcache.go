@@ -25,11 +25,11 @@ package vm
 // per-page tables index, so FlushICache invalidates both together (the
 // tables and every chain die with the cache generation).
 //
-// The cache is host-side only: cycle accounting, hook invocation order
-// (TraceHook, MemHook, BlockHook), error reporting and the cycle-budget
-// abort point are bit-identical to the legacy per-instruction path, which
-// remains available behind VM.NoBlockCache for A/B validation, with
-// VM.NoChain ablating just the chaining layer.
+// The cache is host-side only: every instruction retires through the
+// same dispatch body (exec) that Step uses, so cycle accounting, hook
+// invocation order (TraceHook, MemHook, BlockHook), error reporting and
+// the cycle-budget abort point do not depend on how instructions were
+// found.
 
 import (
 	"fmt"
@@ -142,7 +142,7 @@ func (v *VM) blockAt(pc uint64) (*block, error) {
 // buildBlock decodes the straight-line run beginning at start. Fetch or
 // decode failures after the first instruction end the block early rather
 // than erroring: execution that actually falls through to the bad address
-// reports the fault there, exactly as the legacy path would.
+// reports the fault there, when it builds the block starting at it.
 func (v *VM) buildBlock(start uint64) (*block, error) {
 	b := &block{}
 	pc := start
@@ -250,36 +250,32 @@ func (v *VM) runBlocks() error {
 		}
 		// Block exit: follow the chain if the observed target matches.
 		rip := v.RIP
-		if !v.NoChain {
-			if rip == b.fallPC && b.fall != nil {
-				b = b.fall
-				if v.tel != nil {
-					v.tel.chainHits.Inc()
-				}
-				continue
+		if rip == b.fallPC && b.fall != nil {
+			b = b.fall
+			if v.tel != nil {
+				v.tel.chainHits.Inc()
 			}
-			if rip == b.takenPC && b.taken != nil {
-				b = b.taken
-				if v.tel != nil {
-					v.tel.chainHits.Inc()
-				}
-				continue
+			continue
+		}
+		if rip == b.takenPC && b.taken != nil {
+			b = b.taken
+			if v.tel != nil {
+				v.tel.chainHits.Inc()
 			}
+			continue
 		}
 		nb, err := v.blockAt(rip)
 		if err != nil {
 			v.FlushTelemetry()
 			return err
 		}
-		if !v.NoChain {
-			if v.tel != nil {
-				v.tel.chainMisses.Inc()
-			}
-			if rip == b.fallPC {
-				b.fall = nb
-			} else {
-				b.takenPC, b.taken = rip, nb
-			}
+		if v.tel != nil {
+			v.tel.chainMisses.Inc()
+		}
+		if rip == b.fallPC {
+			b.fall = nb
+		} else {
+			b.takenPC, b.taken = rip, nb
 		}
 		b = nb
 	}

@@ -44,14 +44,13 @@ func chainProgram(b *asm.Builder) {
 	b.Ret()
 }
 
-// runChainVM executes the given binary with the given knobs and returns
-// the VM plus its telemetry snapshot.
-func runChainVM(t *testing.T, bin *relf.Binary, noChain bool) (*vm.VM, *telemetry.Snapshot) {
+// runChainVM executes the given binary and returns the VM plus its
+// telemetry snapshot.
+func runChainVM(t *testing.T, bin *relf.Binary) (*vm.VM, *telemetry.Snapshot) {
 	t.Helper()
 	m := mem.New()
 	v := vm.New(m)
 	v.MaxCycles = 100_000_000
-	v.NoChain = noChain
 	reg := telemetry.New()
 	v.AttachTelemetry(reg, nil)
 	if err := v.Load(bin, rtlib.LibC(heap.New(m), m)); err != nil {
@@ -64,9 +63,10 @@ func runChainVM(t *testing.T, bin *relf.Binary, noChain bool) (*vm.VM, *telemetr
 }
 
 // TestChainIdentityAndHits checks that chaining changes nothing
-// guest-visible while absorbing nearly all block exits on a loop-heavy
-// workload, and that the alternating indirect target keeps retargeting
-// the BTB slot without misdirecting execution.
+// guest-visible — the run retires exactly the cycles and instructions
+// the unchained block cache measured — while absorbing nearly all block
+// exits on a loop-heavy workload, and that the alternating indirect
+// target keeps retargeting the BTB slot without misdirecting execution.
 func TestChainIdentityAndHits(t *testing.T) {
 	b := asm.NewBuilder(asm.Options{})
 	chainProgram(b)
@@ -74,18 +74,15 @@ func TestChainIdentityAndHits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chained, chainTel := runChainVM(t, bin, false)
-	plain, plainTel := runChainVM(t, bin, true)
+	chained, chainTel := runChainVM(t, bin)
 
-	if chained.ExitCode != plain.ExitCode || chained.Cycles != plain.Cycles ||
-		chained.Insts != plain.Insts {
-		t.Fatalf("chain/no-chain divergence: exit %d/%d cycles %d/%d insts %d/%d",
-			chained.ExitCode, plain.ExitCode, chained.Cycles, plain.Cycles,
-			chained.Insts, plain.Insts)
-	}
-	// 200 even + 200 odd iterations: 200*1 + 200*3.
-	if chained.ExitCode != 800 {
-		t.Fatalf("exit = %d, want 800", chained.ExitCode)
+	// 200 even + 200 odd iterations: 200*1 + 200*3. The cycle and
+	// instruction counts are pinned to what the unchained block cache
+	// measured for the same program.
+	const wantCycles, wantInsts = 5404, 4003
+	if chained.ExitCode != 800 || chained.Cycles != wantCycles || chained.Insts != wantInsts {
+		t.Fatalf("exit %d cycles %d insts %d, want 800/%d/%d",
+			chained.ExitCode, chained.Cycles, chained.Insts, wantCycles, wantInsts)
 	}
 	hits := chainTel.Counters["vm.icache.chain.hits"]
 	misses := chainTel.Counters["vm.icache.chain.misses"]
@@ -97,9 +94,6 @@ func TestChainIdentityAndHits(t *testing.T) {
 	// (loop back-edge, conditionals, joins) must chain.
 	if hits < misses {
 		t.Errorf("chain hits %d < misses %d; static edges not chaining", hits, misses)
-	}
-	if got := plainTel.Counters["vm.icache.chain.hits"]; got != 0 {
-		t.Errorf("NoChain run recorded %d chain hits", got)
 	}
 }
 

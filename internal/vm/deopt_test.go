@@ -125,7 +125,7 @@ func hardenedRun(t *testing.T, hard *relf.Binary, flight *obs.Flight) (*vm.VM, *
 	t.Helper()
 	reg := telemetry.New()
 	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
-		Abort: true, JITThreshold: 2, MaxCycles: 1_000_000,
+		AbortOnError: true, JITThreshold: 2, MaxCycles: 1_000_000,
 		Metrics: reg, Flight: flight,
 	})
 	return v, reg.Snapshot(), err
@@ -149,7 +149,7 @@ func TestJITDeoptReasons(t *testing.T) {
 
 	// side + dyn: the alternating conditional and the retargeting
 	// indirect jump of the trace-shape workload.
-	v, snap, err := jitRun(t, buildJIT(t), false, false, 2, 100_000_000)
+	v, snap, err := jitRun(t, buildJIT(t), false, 2, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestJITDeoptReasons(t *testing.T) {
 
 	// halt: threshold 1 compiles the straight line on first dispatch, so
 	// the program ends by popping the sentinel inside the trace.
-	v, snap, err = jitRun(t, buildHaltTrace(t), false, false, 1, 1_000_000)
+	v, snap, err = jitRun(t, buildHaltTrace(t), false, 1, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestJITDeoptReasons(t *testing.T) {
 	note(snap)
 
 	// fault: the division fault fires on iteration 40 of a compiled loop.
-	v, snap, err = jitRun(t, buildDivFault(t), false, false, 2, 1_000_000)
+	v, snap, err = jitRun(t, buildDivFault(t), false, 2, 1_000_000)
 	if err == nil {
 		t.Fatal("division workload did not fault")
 	}
@@ -193,7 +193,7 @@ func TestJITDeoptReasons(t *testing.T) {
 
 	// budget: a budget the loop outlives forces the entry guard (or the
 	// back-edge guard) to hand the block back to the interpreter.
-	v, snap, err = jitRun(t, buildJIT(t), false, false, 2, 4096)
+	v, snap, err = jitRun(t, buildJIT(t), false, 2, 4096)
 	var cle *vm.CycleLimitError
 	if !errors.As(err, &cle) {
 		t.Fatalf("budget workload: %v, want cycle-limit abort", err)

@@ -218,21 +218,21 @@ func (v *VM) aluCompute(op isa.Op, a, b uint64, w uint16) (uint64, Flags, error)
 	return 0, v.Flags, fmt.Errorf("vm: alu cannot execute %v", op)
 }
 
-// Step executes a single instruction, fetching through the legacy per-PC
-// decode cache. Run's block-cache path bypasses Step; Step remains the
-// single-stepping entry point.
+// Step executes a single instruction: the first of the cached block that
+// starts at RIP. It is the single-stepping entry point; Run executes
+// whole blocks instead.
 func (v *VM) Step() error {
-	pc := v.RIP
-	in, err := v.fetch(pc)
+	b, err := v.blockAt(v.RIP)
 	if err != nil {
 		return err
 	}
-	return v.exec(pc, in)
+	bi := &b.insts[0]
+	return v.exec(bi.pc, &bi.in)
 }
 
 // exec retires one predecoded instruction at pc. It is the shared
-// dispatch body of both execution paths (Step and the block cache), so
-// cycle accounting, hook order and error behaviour cannot diverge.
+// dispatch body of Step and the block interpreter, so cycle accounting,
+// hook order and error behaviour cannot diverge.
 func (v *VM) exec(pc uint64, in *isa.Inst) error {
 	next := pc + uint64(in.Len)
 	var err error

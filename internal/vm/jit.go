@@ -412,14 +412,13 @@ func (v *VM) TraceStats() []TraceStat {
 }
 
 // jitEnabled decides whether this run may use the superblock tier: the
-// tier needs the block cache with chaining (a trace is a chain) and no
-// per-instruction observers — trace/mem/block hooks, the event tracer
-// and the guest profiler all require interpreter-grain callbacks, so
-// any of them pins execution to tier 0.
+// tier is on unless NoJIT, and needs no per-instruction observers —
+// trace/mem/block hooks, the event tracer and the guest profiler all
+// require interpreter-grain callbacks, so any of them pins execution to
+// tier 0.
 func (v *VM) jitEnabled() bool {
-	return !v.NoJIT && !v.NoChain && !v.NoBlockCache &&
-		v.TraceHook == nil && v.Tracer == nil && v.Profiler == nil &&
-		v.MemHook == nil && v.BlockHook == nil
+	return !v.NoJIT && v.TraceHook == nil && v.Tracer == nil &&
+		v.Profiler == nil && v.MemHook == nil && v.BlockHook == nil
 }
 
 // jitThreshold resolves the configured hotness threshold.

@@ -76,13 +76,12 @@ func buildJIT(t *testing.T) *relf.Binary {
 
 // jitRun executes bin under the given tier knobs and returns the VM, its
 // telemetry snapshot, and the run error.
-func jitRun(t *testing.T, bin *relf.Binary, noJIT, noChain bool, threshold, maxCycles uint64) (*vm.VM, *telemetry.Snapshot, error) {
+func jitRun(t *testing.T, bin *relf.Binary, noJIT bool, threshold, maxCycles uint64) (*vm.VM, *telemetry.Snapshot, error) {
 	t.Helper()
 	m := mem.New()
 	v := vm.New(m)
 	v.MaxCycles = maxCycles
 	v.NoJIT = noJIT
-	v.NoChain = noChain
 	v.JITThreshold = threshold
 	reg := telemetry.New()
 	v.AttachTelemetry(reg, nil)
@@ -127,8 +126,8 @@ func hasJITPrefix(name string) bool {
 // from the alternating side exits.
 func TestJITIdentity(t *testing.T) {
 	bin := buildJIT(t)
-	jit, jitTel, jitErr := jitRun(t, bin, false, false, 4, 100_000_000)
-	ref, refTel, refErr := jitRun(t, bin, true, false, 4, 100_000_000)
+	jit, jitTel, jitErr := jitRun(t, bin, false, 4, 100_000_000)
+	ref, refTel, refErr := jitRun(t, bin, true, 4, 100_000_000)
 	if (jitErr == nil) != (refErr == nil) {
 		t.Fatalf("error divergence: jit %v, nojit %v", jitErr, refErr)
 	}
@@ -174,41 +173,19 @@ func TestJITIdentity(t *testing.T) {
 	}
 }
 
-// TestJITNoChainDisablesTraces pins the NoChain contract: traces are
-// built over chained successor links, so -nochain must disable trace
-// formation entirely, not just chaining (the knob ablates both layers).
-func TestJITNoChainDisablesTraces(t *testing.T) {
-	bin := buildJIT(t)
-	v, tel, err := jitRun(t, bin, false, true, 1, 100_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := tel.Counters["vm.jit.compile.count"]; n != 0 {
-		t.Errorf("NoChain run compiled %d traces; chaining off must imply tier off", n)
-	}
-	if n := len(v.CompiledTraces()); n != 0 {
-		t.Errorf("NoChain run retained %d compiled traces", n)
-	}
-	ref, _, _ := jitRun(t, bin, true, true, 1, 100_000_000)
-	if v.Cycles != ref.Cycles || v.ExitCode != ref.ExitCode {
-		t.Errorf("NoChain jit/nojit divergence: cycles %d/%d exit %d/%d",
-			v.Cycles, ref.Cycles, v.ExitCode, ref.ExitCode)
-	}
-}
-
 // TestJITThreshold checks the hotness knob: a threshold above the
 // workload's iteration count must keep everything interpreted, and the
 // lowest threshold must compile the loop.
 func TestJITThreshold(t *testing.T) {
 	bin := buildJIT(t)
-	_, cold, err := jitRun(t, bin, false, false, 1<<20, 100_000_000)
+	_, cold, err := jitRun(t, bin, false, 1<<20, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n := cold.Counters["vm.jit.compile.count"]; n != 0 {
 		t.Errorf("threshold 1<<20 still compiled %d traces", n)
 	}
-	_, hot, err := jitRun(t, bin, false, false, 1, 100_000_000)
+	_, hot, err := jitRun(t, bin, false, 1, 100_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,8 +203,8 @@ func TestJITBudgetAbortIdentity(t *testing.T) {
 	bin := buildJIT(t)
 	aborted := 0
 	for _, budget := range []uint64{50, 101, 777, 1001, 4096, 54321} {
-		jit, _, jitErr := jitRun(t, bin, false, false, 2, budget)
-		ref, _, refErr := jitRun(t, bin, true, false, 2, budget)
+		jit, _, jitErr := jitRun(t, bin, false, 2, budget)
+		ref, _, refErr := jitRun(t, bin, true, 2, budget)
 		var jl, rl *vm.CycleLimitError
 		if errors.As(refErr, &rl) {
 			aborted++
@@ -351,8 +328,8 @@ func TestJITDivFaultIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jit, _, jitErr := jitRun(t, bin, false, false, 2, 1_000_000)
-	ref, _, refErr := jitRun(t, bin, true, false, 2, 1_000_000)
+	jit, _, jitErr := jitRun(t, bin, false, 2, 1_000_000)
+	ref, _, refErr := jitRun(t, bin, true, 2, 1_000_000)
 	if jitErr == nil || refErr == nil {
 		t.Fatalf("expected division fault, got jit %v, nojit %v", jitErr, refErr)
 	}

@@ -1,8 +1,8 @@
 package vm
 
 // The guest sampling profiler: a cycle-budget-driven PC sampler hooked
-// into the shared dispatch body (exec), so the block-cache and legacy
-// paths sample identically. Every Interval guest cycles the profiler
+// into the shared dispatch body (exec), so Step and the block
+// interpreter sample identically. Every Interval guest cycles the profiler
 // records the current PC plus a bounded backtrace and attributes to that
 // stack all cycles elapsed since the previous sample — the standard
 // sampling-profiler accounting, but driven by the deterministic guest

@@ -213,8 +213,8 @@ type VM struct {
 	PerInstOverhead uint64
 
 	// Profiler, when set, samples the guest PC (with a backtrace) every
-	// Profiler.Interval guest cycles from the shared dispatch body, on
-	// both the block-cache and legacy paths. Sampling is host-side only:
+	// Profiler.Interval guest cycles from the shared dispatch body (it
+	// pins execution to the interpreter tier). Sampling is host-side only:
 	// guest cycles, errors and output are bit-identical with and without
 	// a profiler attached.
 	Profiler *GuestProfiler
@@ -298,24 +298,10 @@ type VM struct {
 	hostFuncs []HostFunc // import bindings of the main executable
 	binary    *relf.Binary
 
-	// NoBlockCache makes Run use the legacy per-instruction decode cache
-	// instead of the decoded basic-block cache. Guest-visible behaviour
-	// (cycles, errors, hook order) is identical on both paths; the knob
-	// exists so tests and benchmarks can compare them.
-	NoBlockCache bool
-
-	// NoChain disables block chaining on the block-cache path: every
-	// block exit re-enters the per-page block tables instead of following
-	// cached successor pointers. An ablation knob; guest-visible
-	// behaviour is identical with chaining on or off. A superblock trace
-	// is a chain, so NoChain also disables the JIT tier (see jit.go).
-	NoChain bool
-
 	// NoJIT disables the superblock translation tier: hot chained traces
-	// are never compiled and every instruction retires through the
-	// interpreter. An ablation knob with the same identity guarantee as
-	// NoChain — guest cycles, detections and exit codes are bit-identical
-	// with the tier on or off.
+	// are never compiled and every instruction retires through the block
+	// interpreter. Guest cycles, detections and exit codes are
+	// bit-identical with the tier on or off.
 	NoJIT bool
 
 	// JITThreshold is the number of block entries before a trace rooted
@@ -358,10 +344,6 @@ type VM struct {
 	// (CompiledTraces) and -stats reporting. Cleared by FlushICache:
 	// traces embed predecoded instructions exactly like blocks do.
 	traces []*trace
-
-	// icache is the legacy per-PC decode cache (Step), created on first
-	// use: only the NoBlockCache path ever fills it.
-	icache map[uint64]*isa.Inst
 
 	// Decoded basic-block cache (see blockcache.go).
 	bcache      map[uint64]*codePage
@@ -463,23 +445,17 @@ func (v *VM) AttachTelemetry(reg *telemetry.Registry, tr *telemetry.Tracer) {
 }
 
 // FlushTelemetry publishes the VM's end-of-run totals (cycles, retired
-// instructions, exit code) into the attached registry. Safe to call any
-// number of times, including after an aborted run.
-//
-// The vm.icache.* gauges describe whichever decode cache is active:
-// per-PC map entries on the legacy path, predecoded instructions and
-// block count on the block-cache path.
+// instructions, exit code, and the block cache's predecoded
+// instructions and blocks as the vm.icache.* gauges) into the attached
+// registry. Safe to call any number of times, including after an
+// aborted run.
 func (v *VM) FlushTelemetry() {
 	if v.tel == nil {
 		return
 	}
 	v.tel.cycles.Set(v.Cycles)
 	v.tel.insts.Set(v.Insts)
-	if v.NoBlockCache {
-		v.tel.icacheSize.Set(uint64(len(v.icache)))
-	} else {
-		v.tel.icacheSize.Set(uint64(v.nBlockInsts))
-	}
+	v.tel.icacheSize.Set(uint64(v.nBlockInsts))
 	v.tel.icacheBlocks.Set(uint64(v.nBlocks))
 	v.tel.exitCode.Set(v.ExitCode)
 }
@@ -646,34 +622,14 @@ func (e *CycleLimitError) Error() string {
 	return fmt.Sprintf("vm: cycle limit exceeded (%d cycles)", e.Cycles)
 }
 
-// Run executes until the program halts or faults. Execution proceeds
-// through the decoded basic-block cache unless NoBlockCache selects the
-// legacy per-instruction path; both retire the same instruction stream
-// with identical cycle accounting.
+// Run executes until the program halts or faults, through the decoded
+// basic-block cache (and the superblock tier, see runBlocks).
 func (v *VM) Run() error {
 	if v.Flight != nil {
 		v.Flight.BindCycles(&v.Cycles)
 		v.Flight.SetLabeler(flightLabel)
 	}
-	if !v.NoBlockCache {
-		return v.runBlocks()
-	}
-	for !v.Halted {
-		if err := v.Step(); err != nil {
-			v.FlushTelemetry()
-			return err
-		}
-		if v.MaxCycles != 0 && v.Cycles > v.MaxCycles {
-			v.Flight.Record(obs.EvBudgetPoll, 0, v.RIP, v.Cycles)
-			if v.tel != nil {
-				v.tel.cycleAborts.Inc()
-			}
-			v.FlushTelemetry()
-			return &CycleLimitError{v.Cycles}
-		}
-	}
-	v.FlushTelemetry()
-	return nil
+	return v.runBlocks()
 }
 
 // flightLabel names the kind-specific reason bytes of flight events: the
@@ -689,43 +645,16 @@ func flightLabel(kind obs.EventKind, reason uint8) string {
 	return ""
 }
 
-// fetch decodes (with caching) the instruction at addr.
-func (v *VM) fetch(addr uint64) (*isa.Inst, error) {
-	if in, ok := v.icache[addr]; ok {
-		return in, nil
-	}
-	if v.tel != nil {
-		v.tel.icacheMiss.Inc()
-	}
-	var buf [isa.MaxInstLen]byte
-	n := v.Mem.Fetch(addr, buf[:])
-	if n == 0 {
-		return nil, &mem.Fault{Addr: addr, Exec: true}
-	}
-	in, err := isa.Decode(buf[:n])
-	if err != nil {
-		return nil, fmt.Errorf("vm: at %#x: %w", addr, err)
-	}
-	cp := in
-	if v.icache == nil {
-		v.icache = make(map[uint64]*isa.Inst, 4096)
-	}
-	v.icache[addr] = &cp
-	return &cp, nil
-}
-
-// FlushICache drops cached decodes — the legacy per-PC cache and the
-// basic-block cache, including every chained successor pointer: chains
-// only ever reference blocks reachable from the per-page tables being
-// dropped here, so tables and chains are invalidated together (needed
-// only if code is modified after it has executed; offline rewriting does
-// not require it). Compiled superblock traces embed the same predecoded
+// FlushICache drops cached decodes — the basic-block cache, including
+// every chained successor pointer: chains only ever reference blocks
+// reachable from the per-page tables being dropped here, so tables and
+// chains are invalidated together (needed only if code is modified after
+// it has executed; offline rewriting does not require it). Compiled superblock traces embed the same predecoded
 // instructions, so they die with the cache generation too: the trace
 // list is cleared and every per-block trace pointer is unreachable once
 // the block tables are dropped.
 func (v *VM) FlushICache() {
 	v.Flight.Record(obs.EvICacheGen, 0, v.RIP, uint64(v.nBlocks))
-	v.icache = nil
 	v.bcache = make(map[uint64]*codePage)
 	v.bcPageIdx = ^uint64(0)
 	v.bcPage = nil

@@ -288,88 +288,13 @@ func ProfileAndHarden(bin *Binary, testSuite [][]uint64, opt Options) (*Binary, 
 	return profile.Run(bin, suite, opt)
 }
 
-// RunOptions configures an execution.
-type RunOptions struct {
-	// Input is the program's input vector (consumed by rf_input).
-	Input []uint64
-	// MaxCycles bounds execution (0 = a large default).
-	MaxCycles uint64
-	// Hardened selects the RedFat runtime: the low-fat/redzone allocator
-	// and the check routine (required for binaries produced by Harden).
-	Hardened bool
-	// Memcheck runs the binary under the Valgrind-Memcheck model
-	// instead (redzone-only DBI; for comparisons).
-	Memcheck bool
-	// AbortOnError stops at the first detected memory error (hardening
-	// deployments); otherwise errors are recorded and execution
-	// continues (testing/profiling).
-	AbortOnError bool
-	// RandomizeHeap enables low-fat allocator placement randomization.
-	RandomizeHeap bool
-	// NoLibcCheck disables the hardened libc span intrinsics (and, under
-	// Memcheck, its libc interposition), reverting the modelled libc to
-	// unchecked baseline bindings. Guest-visible — span checks charge
-	// cycles and produce detections — so it is recorded in runpacks.
-	NoLibcCheck bool
-	// QuarantineBytes overrides the redzone heap's delayed-reuse
-	// quarantine budget (-1 disables quarantine, 0 keeps the default,
-	// >0 sets the byte budget). Hardened runs only.
-	QuarantineBytes int64
-	// Canary arms canary-poisoned redzones: allocation slack is filled
-	// with a canary byte verified on free and on span-check crossings.
-	// Hardened runs only.
-	Canary bool
-	// UnderAllocEvery, when >0, under-allocates roughly one in every N
-	// heap objects by one byte (the REDFAT_TEST self-test mode,
-	// deterministic via the VM's random stream). Hardened runs only.
-	UnderAllocEvery uint64
-	// Trace, when set, receives an execution trace (one disassembled
-	// instruction per line), capped at TraceLimit lines (0 = 10000).
-	Trace      io.Writer
-	TraceLimit int
-	// Metrics, when set, collects counters/gauges/histograms from every
-	// instrumented layer. Telemetry is host-side only and never perturbs
-	// guest cycle accounting.
-	Metrics *Metrics
-	// EventTrace, when set, records execution events into its ring buffer.
-	EventTrace *EventTracer
-	// NoBlockCache runs the VM on its legacy per-instruction decode cache
-	// instead of the basic-block cache. Guest-visible results (cycles,
-	// errors, output) are identical either way; the knob exists for
-	// host-performance A/B measurement and validation.
-	NoBlockCache bool
-	// NoChain disables block chaining (cached block→successor links)
-	// while keeping the block cache. Same identity guarantee.
-	NoChain bool
-	// NoTLB disables the guest-memory software TLB, forcing every page
-	// access through the page-map lookup. Same identity guarantee.
-	NoTLB bool
-	// NoJIT disables the superblock tier (compiled traces over hot
-	// chained blocks). Same identity guarantee.
-	NoJIT bool
-	// NoIndirect disables the recovered-edge soundness monitor armed for
-	// marker-built (.rf.jt) binaries. Landing-pad enforcement itself is
-	// binary semantics and is unaffected. Same identity guarantee.
-	NoIndirect bool
-	// JITThreshold overrides the block-hotness threshold before trace
-	// compilation (0 keeps the default).
-	JITThreshold uint64
-	// Forensics enables allocation-site tracking (guest backtraces per
-	// malloc/free) and error backtrace capture, and fills Result.Reports
-	// with fully resolved error reports. Host-side only: guest cycle
-	// counts are bit-identical with it on or off.
-	Forensics bool
-	// ForensicsDepth bounds the captured backtraces (0 = default 8).
-	ForensicsDepth int
-	// Profiler, when set, samples guest execution by cycle budget from
-	// the VM dispatch loop. Host-side only.
-	Profiler *GuestProfiler
-	// Flight, when set, is the always-on flight recorder fed by the VM
-	// and guest memory. Unlike NoJIT/Profiler it never changes which
-	// execution tier runs, and its ring content is deterministic in
-	// guest cycles. Host-side only.
-	Flight *Flight
-}
+// RunOptions configures an execution: the one run-knob struct shared
+// by every runner, whose JSON view is the runpack RunSpec (see
+// rtlib.RunConfig for each field). Hardened selects the RedFat runtime
+// (required for binaries produced by Harden), Memcheck the
+// Valgrind-Memcheck model; Metrics, EventTrace, Profiler, Flight and
+// Trace are host-side observers that never perturb guest cycles.
+type RunOptions = rtlib.RunConfig
 
 // CheckStat reports one instrumentation site's runtime behaviour.
 type CheckStat struct {
@@ -408,30 +333,6 @@ type Result struct {
 
 // Run executes a binary on the RF64 VM.
 func Run(bin *Binary, opt RunOptions) (*Result, error) {
-	cfg := rtlib.RunConfig{
-		Input:           opt.Input,
-		MaxCycles:       opt.MaxCycles,
-		Abort:           opt.AbortOnError,
-		RandomizeHeap:   opt.RandomizeHeap,
-		NoLibcCheck:     opt.NoLibcCheck,
-		QuarantineBytes: opt.QuarantineBytes,
-		Canary:          opt.Canary,
-		UnderAllocEvery: opt.UnderAllocEvery,
-		TraceWriter:     opt.Trace,
-		TraceLimit:      opt.TraceLimit,
-		Metrics:         opt.Metrics,
-		EventTrace:      opt.EventTrace,
-		NoBlockCache:    opt.NoBlockCache,
-		NoChain:         opt.NoChain,
-		NoTLB:           opt.NoTLB,
-		NoJIT:           opt.NoJIT,
-		NoIndirect:      opt.NoIndirect,
-		JITThreshold:    opt.JITThreshold,
-		Forensics:       opt.Forensics,
-		ForensicsDepth:  opt.ForensicsDepth,
-		Profiler:        opt.Profiler,
-		Flight:          opt.Flight,
-	}
 	var (
 		v   *vm.VM
 		rt  *rtlib.Runtime
@@ -441,11 +342,11 @@ func Run(bin *Binary, opt RunOptions) (*Result, error) {
 	case opt.Memcheck && opt.Hardened:
 		return nil, fmt.Errorf("redfat: Memcheck and Hardened are mutually exclusive")
 	case opt.Memcheck:
-		v, err = memcheck.Run(bin, cfg)
+		v, err = memcheck.Run(bin, opt)
 	case opt.Hardened:
-		v, rt, err = rtlib.RunHardened(bin, cfg)
+		v, rt, err = rtlib.RunHardened(bin, opt)
 	default:
-		v, err = rtlib.RunBaseline(bin, cfg)
+		v, err = rtlib.RunBaseline(bin, opt)
 	}
 	res := &Result{}
 	if v != nil {
@@ -490,31 +391,7 @@ func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
 	if opt.Memcheck {
 		return nil, fmt.Errorf("redfat: Memcheck does not support linked programs")
 	}
-	cfg := rtlib.RunConfig{
-		Input:           opt.Input,
-		MaxCycles:       opt.MaxCycles,
-		Abort:           opt.AbortOnError,
-		RandomizeHeap:   opt.RandomizeHeap,
-		NoLibcCheck:     opt.NoLibcCheck,
-		QuarantineBytes: opt.QuarantineBytes,
-		Canary:          opt.Canary,
-		UnderAllocEvery: opt.UnderAllocEvery,
-		TraceWriter:     opt.Trace,
-		TraceLimit:      opt.TraceLimit,
-		Metrics:         opt.Metrics,
-		EventTrace:      opt.EventTrace,
-		NoBlockCache:    opt.NoBlockCache,
-		NoChain:         opt.NoChain,
-		NoTLB:           opt.NoTLB,
-		NoJIT:           opt.NoJIT,
-		NoIndirect:      opt.NoIndirect,
-		JITThreshold:    opt.JITThreshold,
-		Forensics:       opt.Forensics,
-		ForensicsDepth:  opt.ForensicsDepth,
-		Profiler:        opt.Profiler,
-		Flight:          opt.Flight,
-	}
-	v, rts, err := rtlib.RunLinked(main, libs, cfg)
+	v, rts, err := rtlib.RunLinked(main, libs, opt)
 	res := &Result{}
 	if v != nil {
 		res.ExitCode = v.ExitCode
