@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-host bench-history loc clean
+.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-host bench-history fuzz-smoke loc clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet plus the
 # repo-specific rfvet rules), build, tests (which include the TLB perf
@@ -98,6 +98,16 @@ bench-host:
 bench-history:
 	$(GO) run ./cmd/rfbench -table1 -table2 -scale 0.02 -progress=false \
 		-runpack results/runpack-bench -history results/history
+
+# fuzz-smoke runs each native fuzz target for a short fixed time: the ISA
+# decoder (FuzzDecodeEncode), guest memory against its TLB-less reference
+# (FuzzMemOps) and the strict .rf.config decoder (FuzzDecodeConfig). Not
+# part of check, where `go test` already replays the seed corpora under
+# testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEncode$$' -fuzztime 10s ./internal/isa/
+	$(GO) test -run '^$$' -fuzz '^FuzzMemOps$$' -fuzztime 10s ./internal/mem/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime 10s ./internal/redfat/
 
 # loc prints the root module's Go line counts, non-test and test, leaving
 # out the e2ebench module and its build directory: the figure of merit

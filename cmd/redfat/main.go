@@ -20,6 +20,12 @@
 //	-runpack DIR   capture the rewrite as a digest-signed runpack
 //	               (input + hardened image + knobs) that `rfpack replay`
 //	               re-hardens and diffs byte-for-byte (DESIGN.md §13)
+//
+// The hardening flags (-lowfat, -reads, -size, -elim, -batch, -merge,
+// -elimdom, -local-liveness, -profile, -maxbatch, -nolibccheck,
+// -noindirect) are the flag-tagged fields of redfat.Options, registered
+// on Defaults() with -maxbatch 8; -O0 then clears the four
+// optimizations. The other flags are the tool's own.
 package main
 
 import (
@@ -28,25 +34,17 @@ import (
 	"os"
 
 	"redfat"
+	"redfat/internal/knob"
 	"redfat/internal/runpack"
 )
 
 func main() {
 	out := flag.String("o", "", "output file (required)")
-	lowfat := flag.Bool("lowfat", true, "enable the combined lowfat+redzone check")
-	reads := flag.Bool("reads", true, "instrument reads as well as writes")
-	size := flag.Bool("size", true, "enable metadata (size) hardening")
-	elim := flag.Bool("elim", true, "enable check elimination")
-	batch := flag.Bool("batch", true, "enable check batching")
-	merge := flag.Bool("merge", true, "enable check merging")
-	elimDom := flag.Bool("elimdom", true, "enable dominator-based redundant-check elimination")
-	localLive := flag.Bool("local-liveness", false, "restrict liveness to block-local scans (ablation)")
-	noIndirect := flag.Bool("noindirect", false, "disable indirect-flow recovery in the dataflow engine (ablation)")
-	noLibc := flag.Bool("nolibccheck", false, "record that the binary deploys without the hardened libc intrinsics")
+	opt := redfat.Defaults()
+	opt.MaxBatch = 8
+	knob.Flags(flag.CommandLine, &opt)
 	o0 := flag.Bool("O0", false, "disable all optimizations")
-	profileMode := flag.Bool("profile", false, "build the profiling-phase binary")
 	allowPath := flag.String("allowlist", "", "allow-list file from the profiling phase")
-	maxBatch := flag.Int("maxbatch", 8, "maximum accesses per trampoline")
 	verbose := flag.Bool("v", false, "print the instrumentation report")
 	metricsPath := flag.String("metrics", "", "write the instrumentation metrics as JSON to this file")
 	doVerify := flag.Bool("verify", false, "run the translation validator on the result and fail on violations")
@@ -66,19 +64,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	opt := redfat.Options{
-		LowFat:        *lowfat,
-		CheckReads:    *reads,
-		SizeCheck:     *size,
-		Elim:          *elim && !*o0,
-		Batch:         *batch && !*o0,
-		Merge:         *merge && !*o0,
-		ElimDom:       *elimDom && !*o0,
-		LocalLiveness: *localLive,
-		NoIndirect:    *noIndirect,
-		Profile:       *profileMode,
-		MaxBatch:      *maxBatch,
-		NoLibcCheck:   *noLibc,
+	if *o0 {
+		opt.Elim, opt.Batch, opt.Merge, opt.ElimDom = false, false, false, false
 	}
 	var allowData []byte
 	if *allowPath != "" {

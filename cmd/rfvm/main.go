@@ -27,8 +27,11 @@
 // superblock tier or the block interpreter; guest results are identical
 // either way), -noindirect disables the recovered-edge monitor, and
 // -nolibccheck, -quarantine, -canary and -underalloc select the libc and
-// allocator hardening modes, which are guest-visible. The flags fill one
-// redfat.RunOptions value.
+// allocator hardening modes, which are guest-visible. These knob flags,
+// with -hardened, -memcheck, -abort, -max and -forensics, are the
+// flag-tagged fields of redfat.RunOptions, registered on its zero value;
+// -input, -trace and the observability flags below are hand-written and
+// fill the rest of the same value.
 //
 // Run artifacts: -runpack DIR captures the run as a digest-signed
 // runpack (the executed binary, the replay spec — the JSON view of that
@@ -82,32 +85,23 @@ import (
 	"strings"
 
 	"redfat"
+	"redfat/internal/knob"
 	"redfat/internal/runpack"
 )
 
 func main() {
+	var ro redfat.RunOptions
+	knob.Flags(flag.CommandLine, &ro)
 	input := flag.String("input", "", "comma-separated input values for rf_input")
-	hardened := flag.Bool("hardened", false, "run with the RedFat runtime (libredfat model)")
-	mcheck := flag.Bool("memcheck", false, "run under the Memcheck model")
-	abort := flag.Bool("abort", false, "abort on the first detected memory error")
-	max := flag.Uint64("max", 0, "cycle budget (0 = default)")
 	trace := flag.Int("trace", 0, "print an execution trace of up to N instructions")
 	stats := flag.Bool("stats", false, "collect telemetry and print a run report")
 	top := flag.Int("top", 10, "with -stats, hottest instrumentation sites to list")
 	events := flag.Int("events", 0, "record and print the last N execution events")
-	forensic := flag.Bool("forensics", false, "resolve detected errors into symbolized forensic reports")
 	forensicJSON := flag.Bool("forensics-json", false, "with -forensics, also print the reports as JSON")
 	profGuest := flag.Bool("profile-guest", false, "sample guest execution and print a hot-site profile")
 	profInterval := flag.Uint64("profile-interval", 0, "guest cycles between profile samples (0 = default)")
 	folded := flag.String("folded", "", "write the guest profile as folded stacks (flamegraph input) to FILE")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON (events + profile samples) to FILE")
-	noJIT := flag.Bool("nojit", false, "disable the superblock trace tier (host A/B validation)")
-	noIndirect := flag.Bool("noindirect", false, "disable the recovered-edge monitor for marker-built binaries (host A/B validation)")
-	jitThreshold := flag.Uint64("jit-threshold", 0, "block hotness before trace compilation (0 = default)")
-	noLibc := flag.Bool("nolibccheck", false, "disable the hardened libc span intrinsics (ablation; guest-visible)")
-	quarantine := flag.Int64("quarantine", 0, "free-quarantine byte budget (-1 disables, 0 default; hardened runs)")
-	canary := flag.Bool("canary", false, "arm canary-poisoned redzones (verified on free and span checks; hardened runs)")
-	underAlloc := flag.Uint64("underalloc", 0, "self-test: under-allocate ~1 in N heap objects by one byte (0 = off; hardened runs)")
 	doVerify := flag.Bool("verify", false, "with -hardened, structurally validate the binary before running it")
 	packDir := flag.String("runpack", "", "capture the run as a digest-signed runpack in this directory (implies forensics)")
 	listen := flag.String("listen", "", "serve live introspection HTTP (/metrics /snapshot /traces /profile /flight) on ADDR until killed")
@@ -126,7 +120,7 @@ func main() {
 		fatal(err)
 	}
 	if *doVerify {
-		if !*hardened {
+		if !ro.Hardened {
 			fatal(fmt.Errorf("-verify requires -hardened"))
 		}
 		vrep, err := redfat.VerifyStructural(bin)
@@ -148,21 +142,7 @@ func main() {
 			in = append(in, v)
 		}
 	}
-	ro := redfat.RunOptions{
-		Input:        in,
-		Hardened:     *hardened,
-		Memcheck:     *mcheck,
-		AbortOnError: *abort,
-		MaxCycles:    *max,
-		NoJIT:        *noJIT,
-		NoIndirect:   *noIndirect,
-		JITThreshold: *jitThreshold,
-
-		NoLibcCheck:     *noLibc,
-		QuarantineBytes: *quarantine,
-		Canary:          *canary,
-		UnderAllocEvery: *underAlloc,
-	}
+	ro.Input = in
 	if *trace > 0 {
 		ro.Trace = os.Stderr
 		ro.TraceLimit = *trace
@@ -182,7 +162,10 @@ func main() {
 		tracer = redfat.NewEventTracer(4096)
 		ro.EventTrace = tracer
 	}
-	ro.Forensics = *forensic || *packDir != ""
+	// -forensics prints the resolved reports; a bare -runpack only packs
+	// them.
+	showReports := ro.Forensics
+	ro.Forensics = ro.Forensics || *packDir != ""
 	// The guest profiler needs interpreter-grain sampling, which pins
 	// execution to tier 0 — so -listen alone must NOT enable it, or the
 	// /traces endpoint would always be empty. /profile serves data only
@@ -217,9 +200,6 @@ func main() {
 	}
 	res, err := redfat.Run(bin, ro)
 	if res != nil {
-		// -forensics prints the resolved reports; a bare -runpack only
-		// packs them.
-		showReports := *forensic
 		sym := redfat.NewSymbolizer(bin)
 		if len(res.Output) > 0 {
 			os.Stdout.Write(res.Output)

@@ -8,12 +8,9 @@ package cfg
 // which is exactly the conservative answer.
 type DomTree struct {
 	g     *Graph
-	idom  []int // immediate dominator block id; root is virtualRoot
+	idom  []int // immediate dominator block id; len(g.Blocks) is the virtual root
 	depth []int // depth in the dominator tree (root = 0)
 }
-
-// virtualRoot is the node id used for the synthetic root.
-func (d *DomTree) virtualRoot() int { return len(d.g.Blocks) }
 
 // NewDomTree computes the dominator tree of g.
 func NewDomTree(g *Graph) *DomTree {
@@ -116,15 +113,6 @@ func NewDomTree(g *Graph) *DomTree {
 		d.depth[b] = d.depth[d.idom[b]] + 1
 	}
 	return d
-}
-
-// Idom returns the immediate dominator of block b, or -1 for blocks
-// whose only dominator is the virtual root.
-func (d *DomTree) Idom(b int) int {
-	if i := d.idom[b]; i != d.virtualRoot() {
-		return i
-	}
-	return -1
 }
 
 // Depth returns b's depth in the dominator tree (children of the

@@ -118,10 +118,3 @@ func (lv *Liveness) FlagsDeadAt(i int) bool {
 	_, flags := lv.liveAt(i)
 	return flags == 0
 }
-
-// LiveFlagsAt returns the set of flags live immediately before
-// instruction i (used by the translation validator's audit).
-func (lv *Liveness) LiveFlagsAt(i int) FlagSet {
-	_, flags := lv.liveAt(i)
-	return flags
-}

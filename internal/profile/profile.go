@@ -136,11 +136,12 @@ func (p *Profiler) FlaggedSites() []uint64 {
 	return out
 }
 
-// profileOptions derives the phase-1 instrumentation configuration from
-// the production configuration: profiling mode, no merging (so verdicts
-// are per original operand), and read checking on (the allow-list should
-// cover read sites even if production later drops read checks).
-func profileOptions(prod redfat.Options) redfat.Options {
+// PhaseOneOptions derives the Fig. 5 phase-1 instrumentation
+// configuration from the production configuration: profiling mode, no
+// merging (so verdicts are per original operand), read checking on (the
+// allow-list should cover read sites even if production later drops read
+// checks), and no allow-list.
+func PhaseOneOptions(prod redfat.Options) redfat.Options {
 	opt := prod
 	opt.Profile = true
 	opt.AllowList = nil
@@ -154,7 +155,7 @@ func profileOptions(prod redfat.Options) redfat.Options {
 // the production binary under prodOpt with that allow-list. It returns
 // the hardened binary, the allow-list, and the production report.
 func Run(orig *relf.Binary, suite []rtlib.RunConfig, prodOpt redfat.Options) (*relf.Binary, AllowList, *redfat.Report, error) {
-	profBin, _, err := redfat.Harden(orig, profileOptions(prodOpt))
+	profBin, _, err := redfat.Harden(orig, PhaseOneOptions(prodOpt))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("profile: phase 1 instrumentation: %w", err)
 	}

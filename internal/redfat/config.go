@@ -18,82 +18,77 @@ const ConfigSection = ".rf.config"
 // (addr → 0); absent when every selected operand was protected.
 const UnprotSection = ".rf.unprot"
 
-// configVersion versions the ConfigSection encoding.
-const configVersion = 1
-
-// config flag bits (byte 1 of the section).
+// configVersion versions the ConfigSection encoding: the version byte,
+// two flag bytes laid out by configBits, and MaxBatch as a little-endian
+// uint16 in bytes 3–4.
 const (
-	cfgLowFat = 1 << iota
-	cfgProfile
-	cfgCheckReads
-	cfgSizeCheck
-	cfgElim
-	cfgElimDom
-	cfgBatch
-	cfgMerge
+	configVersion = 1
+	configLen     = 5
 )
 
-// config flag bits (byte 2 of the section).
-const (
-	cfgNoClobberSpec = 1 << iota
-	cfgLocalLiveness
-	cfgAllowList
-	cfgNoLibcCheck
-	cfgNoIndirect
-)
+// allowListBit is the byte-2 flag recording that an allow-list was in
+// effect; the list itself is not stored.
+const allowListBit = 1 << 2
+
+// configBits declares the .rf.config flag bits: bit i of section byte
+// 1+j holds the field configBits(o)[j][i]. The nil entry is
+// allowListBit.
+func configBits(o *Options) [2][]*bool {
+	return [2][]*bool{
+		{&o.LowFat, &o.Profile, &o.CheckReads, &o.SizeCheck, &o.Elim, &o.ElimDom, &o.Batch, &o.Merge},
+		{&o.NoClobberSpec, &o.LocalLiveness, nil, &o.NoLibcCheck, &o.NoIndirect},
+	}
+}
+
+// ConfigError reports a ConfigSection that DecodeConfig rejects: wrong
+// length, unknown version, or a flag bit no field is declared for.
+type ConfigError struct {
+	Reason string
+}
+
+// Error implements the error interface.
+func (e *ConfigError) Error() string { return "redfat: bad " + ConfigSection + ": " + e.Reason }
 
 // EncodeConfig serializes the policy-relevant subset of opt.
 func EncodeConfig(opt Options) []byte {
-	var f1, f2 byte
-	set := func(b *byte, bit byte, on bool) {
-		if on {
-			*b |= bit
+	out := make([]byte, configLen)
+	out[0] = configVersion
+	for j, bits := range configBits(&opt) {
+		for i, p := range bits {
+			if p != nil && *p {
+				out[1+j] |= 1 << i
+			}
 		}
 	}
-	set(&f1, cfgLowFat, opt.LowFat)
-	set(&f1, cfgProfile, opt.Profile)
-	set(&f1, cfgCheckReads, opt.CheckReads)
-	set(&f1, cfgSizeCheck, opt.SizeCheck)
-	set(&f1, cfgElim, opt.Elim)
-	set(&f1, cfgElimDom, opt.ElimDom)
-	set(&f1, cfgBatch, opt.Batch)
-	set(&f1, cfgMerge, opt.Merge)
-	set(&f2, cfgNoClobberSpec, opt.NoClobberSpec)
-	set(&f2, cfgLocalLiveness, opt.LocalLiveness)
-	set(&f2, cfgAllowList, opt.AllowList != nil)
-	set(&f2, cfgNoLibcCheck, opt.NoLibcCheck)
-	set(&f2, cfgNoIndirect, opt.NoIndirect)
-	out := make([]byte, 5)
-	out[0] = configVersion
-	out[1] = f1
-	out[2] = f2
+	if opt.AllowList != nil {
+		out[2] |= allowListBit
+	}
 	binary.LittleEndian.PutUint16(out[3:], uint16(opt.MaxBatch))
 	return out
 }
 
 // DecodeConfig recovers the Options subset stored by EncodeConfig. The
-// AllowList itself is not stored; HasAllowList reports whether one was
-// in effect (site modes already reflect it in the site table).
+// AllowList itself is not stored; hasAllowList reports whether one was
+// in effect (site modes already reflect it in the site table). Anything
+// EncodeConfig cannot produce is a *ConfigError.
 func DecodeConfig(data []byte) (opt Options, hasAllowList bool, err error) {
-	if len(data) < 5 {
-		return opt, false, fmt.Errorf("redfat: config section too short (%d bytes)", len(data))
+	if len(data) != configLen {
+		return opt, false, &ConfigError{fmt.Sprintf("%d bytes, want %d", len(data), configLen)}
 	}
 	if data[0] != configVersion {
-		return opt, false, fmt.Errorf("redfat: unknown config version %d", data[0])
+		return opt, false, &ConfigError{fmt.Sprintf("unknown version %d", data[0])}
 	}
-	f1, f2 := data[1], data[2]
-	opt.LowFat = f1&cfgLowFat != 0
-	opt.Profile = f1&cfgProfile != 0
-	opt.CheckReads = f1&cfgCheckReads != 0
-	opt.SizeCheck = f1&cfgSizeCheck != 0
-	opt.Elim = f1&cfgElim != 0
-	opt.ElimDom = f1&cfgElimDom != 0
-	opt.Batch = f1&cfgBatch != 0
-	opt.Merge = f1&cfgMerge != 0
-	opt.NoClobberSpec = f2&cfgNoClobberSpec != 0
-	opt.LocalLiveness = f2&cfgLocalLiveness != 0
-	opt.NoLibcCheck = f2&cfgNoLibcCheck != 0
-	opt.NoIndirect = f2&cfgNoIndirect != 0
+	for j, bits := range configBits(&opt) {
+		f := data[1+j]
+		if undef := f >> len(bits); undef != 0 {
+			return Options{}, false, &ConfigError{fmt.Sprintf("undefined bits %#x in flag byte %d", undef<<len(bits), 1+j)}
+		}
+		for i, p := range bits {
+			if p != nil {
+				*p = f&(1<<i) != 0
+			}
+		}
+	}
 	opt.MaxBatch = int(binary.LittleEndian.Uint16(data[3:]))
-	return opt, f2&cfgAllowList != 0, nil
+	return opt, data[2]&allowListBit != 0, nil
 }

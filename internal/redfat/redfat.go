@@ -11,6 +11,7 @@ package redfat
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"redfat/internal/cfg"
@@ -26,33 +27,35 @@ import (
 // Options selects the instrumentation configuration. The zero value is a
 // valid conservative configuration (redzone-only, unoptimized, read+write
 // checking); use Defaults() for the fully optimized production defaults.
+//
+// Each knob is declared once, here. Its json tag is its key in a rewrite
+// pack's manifest (the fields are in that key order), its flag and usage
+// tags declare the redfat command's flag, and configBits gives its
+// .rf.config bit.
 type Options struct {
 	// LowFat enables the combined (Redzone)+(LowFat) check. Sites not in
 	// the allow-list (when one is given) fall back to redzone-only.
-	LowFat bool
+	LowFat bool `json:"lowfat" flag:"lowfat" usage:"enable the combined lowfat+redzone check"`
 
 	// AllowList restricts full checking to the given instruction
 	// addresses (from the profiling phase). Nil means "all sites" —
 	// the configuration the paper evaluates for false positives.
-	AllowList map[uint64]bool
-
-	// Profile builds the profiling binary of paper Fig. 5 step 1:
-	// every site uses the profiling check variant and never aborts.
-	Profile bool
+	// .rf.config and the manifest record only its presence.
+	AllowList map[uint64]bool `json:"-"`
 
 	// CheckReads instruments read accesses as well as writes. Disabling
 	// it is the paper's -reads configuration (write-only protection).
-	CheckReads bool
+	CheckReads bool `json:"check_reads" flag:"reads" usage:"instrument reads as well as writes"`
 
 	// SizeCheck enables metadata hardening (validating the stored SIZE
 	// against the immutable low-fat slot size). Disabling it is the
 	// paper's -size configuration.
-	SizeCheck bool
+	SizeCheck bool `json:"size_check" flag:"size" usage:"enable metadata (size) hardening"`
 
 	// Elim, Batch, Merge enable the three optimizations of paper §6.
-	Elim  bool
-	Batch bool
-	Merge bool
+	Elim  bool `json:"elim" flag:"elim" usage:"enable check elimination"`
+	Batch bool `json:"batch" flag:"batch" usage:"enable check batching"`
+	Merge bool `json:"merge" flag:"merge" usage:"enable check merging"`
 
 	// ElimDom enables dominator-based redundant-check elimination on
 	// top of the syntactic Elim rule: a checked operand whose address
@@ -61,16 +64,28 @@ type Options struct {
 	// registers unredefined and no call in between — is dropped; the
 	// dominating check subsumes it. Ignored in Profile mode, where
 	// per-site execution statistics must stay complete.
-	ElimDom bool
+	ElimDom bool `json:"elim_dom" flag:"elimdom" usage:"enable dominator-based redundant-check elimination"`
 
 	// LocalLiveness restricts the dead-register/dead-flags trampoline
 	// specialization to the legacy block-local scans instead of the
 	// whole-CFG liveness solution. Exposed for ablation measurements;
 	// the block-local answer is never more precise.
-	LocalLiveness bool
+	LocalLiveness bool `json:"local_liveness,omitempty" flag:"local-liveness" usage:"restrict liveness to block-local scans (ablation)"`
+
+	// NoClobberSpec disables the dead-register trampoline
+	// specialization (paper §6, "Additional low-level optimizations"):
+	// every trampoline then saves the full scratch set and flags.
+	// Exposed for ablation measurements.
+	NoClobberSpec bool `json:"no_clobber_spec,omitempty"`
+
+	// Profile builds the profiling binary of paper Fig. 5 step 1:
+	// every site uses the profiling check variant and never aborts.
+	Profile bool `json:"profile,omitempty" flag:"profile" usage:"build the profiling-phase binary"`
 
 	// MaxBatch bounds the number of accesses per trampoline (0 = 8).
-	MaxBatch int
+	// .rf.config stores it in 16 bits; Harden rejects values outside
+	// [0, 65535].
+	MaxBatch int `json:"max_batch" flag:"maxbatch" usage:"maximum accesses per trampoline"`
 
 	// NoLibcCheck records that the binary is intended to deploy without
 	// the span-checked libc intrinsics (the libredfat interposition).
@@ -78,20 +93,14 @@ type Options struct {
 	// execution — but recording it in .rf.config lets runpack replay and
 	// the validator reconstruct the intended deployment, and puts the
 	// bit under the runpack digest (tamper detection).
-	NoLibcCheck bool
-
-	// NoClobberSpec disables the dead-register trampoline
-	// specialization (paper §6, "Additional low-level optimizations"):
-	// every trampoline then saves the full scratch set and flags.
-	// Exposed for ablation measurements.
-	NoClobberSpec bool
+	NoLibcCheck bool `json:"no_libc_check,omitempty" flag:"nolibccheck" usage:"record that the binary deploys without the hardened libc intrinsics"`
 
 	// NoIndirect disables indirect-flow recovery (jump-table resolution,
 	// landing-pad target sets, RET/call-site pairing) in the dataflow
 	// engine: indirect control flow stays ⊤ as in the seed analysis.
 	// Only observable on marker-built inputs (those carrying .rf.jt);
 	// exposed for ablation measurements.
-	NoIndirect bool
+	NoIndirect bool `json:"no_indirect,omitempty" flag:"noindirect" usage:"disable indirect-flow recovery in the dataflow engine (ablation)"`
 }
 
 // Defaults returns the fully optimized production configuration
@@ -204,6 +213,9 @@ type site struct {
 func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 	if bin.Section(rtlib.SitesSection) != nil {
 		return nil, nil, fmt.Errorf("redfat: binary is already instrumented")
+	}
+	if opt.MaxBatch < 0 || opt.MaxBatch > math.MaxUint16 {
+		return nil, nil, fmt.Errorf("redfat: MaxBatch %d outside [0, %d]", opt.MaxBatch, math.MaxUint16)
 	}
 	if opt.MaxBatch == 0 {
 		opt.MaxBatch = 8

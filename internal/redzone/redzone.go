@@ -221,13 +221,6 @@ func (h *Heap) SiteOf(id uint64) (allocPC, size, freePC uint64, ok bool) {
 	return s.PC, s.Size, s.FreePC, ok
 }
 
-// RecordOf returns the full forensic record for the object with the given
-// id, including captured backtraces.
-func (h *Heap) RecordOf(id uint64) (AllocRecord, bool) {
-	s, ok := h.allocPC[id]
-	return s, ok
-}
-
 // Malloc allocates size bytes and returns the object pointer (BASE+16).
 // In self-test mode (UnderAllocEvery) the recorded SIZE is randomly one
 // byte short of the request; in canary mode the slot slack is filled

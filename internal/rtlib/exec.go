@@ -21,7 +21,8 @@ import (
 // aliases of it). Its JSON view is the RunSpec that run packs record and
 // replay: every guest-visible or tier knob carries a JSON key, and the
 // host-only observers (json:"-") are never replayed — they cannot change
-// guest cycles, detections or output.
+// guest cycles, detections or output. The flag and usage tags declare
+// rfvm's flag for a knob (see internal/knob).
 type RunConfig struct {
 	// Input is the program's input vector (consumed by rf_input).
 	Input []uint64 `json:"input,omitempty"`
@@ -30,60 +31,60 @@ type RunConfig struct {
 	// runtime (required for binaries produced by Harden) or the
 	// Valgrind-Memcheck model; neither means the baseline allocator. The
 	// runners in this package ignore them.
-	Hardened bool `json:"hardened,omitempty"`
-	Memcheck bool `json:"memcheck,omitempty"`
+	Hardened bool `json:"hardened,omitempty" flag:"hardened" usage:"run with the RedFat runtime (libredfat model)"`
+	Memcheck bool `json:"memcheck,omitempty" flag:"memcheck" usage:"run under the Memcheck model"`
 
 	// AbortOnError stops at the first detected memory error (hardening
 	// deployments); otherwise errors are recorded and execution
 	// continues. Baseline runs ignore it.
-	AbortOnError bool `json:"abort,omitempty"`
+	AbortOnError bool `json:"abort,omitempty" flag:"abort" usage:"abort on the first detected memory error"`
 
 	// MaxCycles bounds execution (0 = 2e9, or 20e9 under Memcheck).
-	MaxCycles uint64 `json:"max_cycles,omitempty"`
+	MaxCycles uint64 `json:"max_cycles,omitempty" flag:"max" usage:"cycle budget (0 = default)"`
 
 	// Forensics enables allocation-site backtrace capture in the bound
 	// allocator and guest-backtrace capture on trapped memory errors,
 	// feeding the forensic report builder. Guest cycle counts are
 	// bit-identical with it on or off.
-	Forensics bool `json:"forensics,omitempty"`
+	Forensics bool `json:"forensics,omitempty" flag:"forensics" usage:"resolve detected errors into symbolized forensic reports"`
 
 	// NoJIT disables the superblock tier (compiled traces over hot
 	// chained blocks), pinning execution to the block interpreter. Guest
 	// results are identical either way; JIT vs NoJIT is the engines'
 	// bit-identity reference pair.
-	NoJIT bool `json:"no_jit,omitempty"`
+	NoJIT bool `json:"no_jit,omitempty" flag:"nojit" usage:"disable the superblock trace tier (host A/B validation)"`
 
 	// NoIndirect disables the recovered-edge soundness monitor that is
 	// otherwise armed for marker-built binaries (host-side telemetry:
 	// vm.indirect.escape.count). It does NOT disable the landing-pad
 	// enforcement itself — that is binary semantics, owned by the binary
 	// via its .rf.jt marker, and must not vary with an ablation knob.
-	NoIndirect bool `json:"no_indirect,omitempty"`
+	NoIndirect bool `json:"no_indirect,omitempty" flag:"noindirect" usage:"disable the recovered-edge monitor for marker-built binaries (host A/B validation)"`
 
 	// JITThreshold overrides the block-hotness threshold at which
 	// traces are compiled (0 keeps vm.DefaultJITThreshold).
-	JITThreshold uint64 `json:"jit_threshold,omitempty"`
+	JITThreshold uint64 `json:"jit_threshold,omitempty" flag:"jit-threshold" usage:"block hotness before trace compilation (0 = default)"`
 
 	// NoLibcCheck disables the hardened libc span intrinsics (and, under
 	// Memcheck, its libc interposition), reverting the modelled libc to
 	// its unchecked baseline bindings. Guest-visible: span checks charge
 	// cycles and produce detections.
-	NoLibcCheck bool `json:"no_libc_check,omitempty"`
+	NoLibcCheck bool `json:"no_libc_check,omitempty" flag:"nolibccheck" usage:"disable the hardened libc span intrinsics (ablation; guest-visible)"`
 
 	// QuarantineBytes overrides the free quarantine budget (-1 disables
 	// the quarantine entirely, 0 keeps the default). Hardened runs only.
-	QuarantineBytes int64 `json:"quarantine_bytes,omitempty"`
+	QuarantineBytes int64 `json:"quarantine_bytes,omitempty" flag:"quarantine" usage:"free-quarantine byte budget (-1 disables, 0 default; hardened runs)"`
 
 	// Canary arms canary-poisoned redzones: allocation slack is filled
 	// with redzone.CanaryByte, verified on free and on span-check
 	// crossings (libredfat's REDFAT_CANARY mode). Hardened runs only.
-	Canary bool `json:"canary,omitempty"`
+	Canary bool `json:"canary,omitempty" flag:"canary" usage:"arm canary-poisoned redzones (verified on free and span checks; hardened runs)"`
 
 	// UnderAllocEvery, when >0, under-allocates roughly one in every N
 	// heap objects by a single byte (libredfat's REDFAT_TEST self-test
 	// mode, deterministic via vm.NextRand). Induced detections carry a
 	// "self-test under-allocation" note tag. Hardened runs only.
-	UnderAllocEvery uint64 `json:"under_alloc_every,omitempty"`
+	UnderAllocEvery uint64 `json:"under_alloc_every,omitempty" flag:"underalloc" usage:"self-test: under-allocate ~1 in N heap objects by one byte (0 = off; hardened runs)"`
 
 	// RandomizeHeap enables the low-fat allocator's placement
 	// randomization (the basic heap randomization paper §8 mentions).

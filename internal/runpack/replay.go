@@ -112,28 +112,6 @@ func reportsJSON(reps []*forensics.ErrorReport) ([]byte, error) {
 	return stableJSON(reps)
 }
 
-// KnobsFromOptions encodes a hardening configuration as a manifest
-// KnobSpec, including the raw .rf.config bytes for exact replay.
-func KnobsFromOptions(opt redfat.Options) *KnobSpec {
-	return &KnobSpec{
-		LowFat:        opt.LowFat,
-		CheckReads:    opt.CheckReads,
-		SizeCheck:     opt.SizeCheck,
-		Elim:          opt.Elim,
-		Batch:         opt.Batch,
-		Merge:         opt.Merge,
-		ElimDom:       opt.ElimDom,
-		LocalLiveness: opt.LocalLiveness,
-		NoClobberSpec: opt.NoClobberSpec,
-		Profile:       opt.Profile,
-		MaxBatch:      opt.MaxBatch,
-		AllowList:     opt.AllowList != nil,
-		NoLibcCheck:   opt.NoLibcCheck,
-		NoIndirect:    opt.NoIndirect,
-		ConfigHex:     hex.EncodeToString(core.EncodeConfig(opt)),
-	}
-}
-
 // KnobsFromBinary extracts the KnobSpec recorded in a hardened binary's
 // .rf.config section (provenance for run packs). Reports false for
 // unhardened binaries.
@@ -142,28 +120,28 @@ func KnobsFromBinary(bin *relf.Binary) (*KnobSpec, bool) {
 	if s == nil {
 		return nil, false
 	}
-	opt, hasAllow, err := core.DecodeConfig(s.Data)
-	if err != nil {
+	k := &KnobSpec{ConfigHex: hex.EncodeToString(s.Data)}
+	var err error
+	if k.Options, k.HasAllowList, err = k.decode(); err != nil {
 		return nil, false
 	}
-	k := KnobsFromOptions(opt)
-	k.AllowList = hasAllow
-	k.ConfigHex = hex.EncodeToString(s.Data)
 	return k, true
 }
 
-// Options reconstructs the hardening configuration a rewrite pack
-// recorded (the allow-list itself, if any, is a separate member).
-func (k *KnobSpec) Options() (redfat.Options, error) {
-	if k.ConfigHex == "" {
-		return redfat.Options{}, fmt.Errorf("runpack: knob spec has no config bytes")
-	}
+// decode reconstructs the hardening configuration from the recorded
+// .rf.config bytes (the allow-list itself, if any, is a separate member
+// of rewrite packs). Knobs that do not decode make the manifest
+// malformed.
+func (k *KnobSpec) decode() (opt redfat.Options, hasAllowList bool, err error) {
 	raw, err := hex.DecodeString(k.ConfigHex)
-	if err != nil {
-		return redfat.Options{}, fmt.Errorf("runpack: bad config_hex: %v", err)
+	if err == nil {
+		opt, hasAllowList, err = core.DecodeConfig(raw)
 	}
-	opt, _, err := core.DecodeConfig(raw)
-	return opt, err
+	if err != nil {
+		err = &VerifyError{Code: ExitBadSchema, Member: ManifestName,
+			Reason: fmt.Sprintf("knobs: config_hex: %v", err)}
+	}
+	return opt, hasAllowList, err
 }
 
 // RewriteReport is the packed projection of an instrumentation report —
@@ -246,7 +224,11 @@ func PackRewrite(dir string, args []string, origData []byte, hard *relf.Binary,
 	if err != nil {
 		return err
 	}
-	b.SetKnobs(KnobsFromOptions(opt))
+	b.SetKnobs(&KnobSpec{
+		Options:      opt,
+		HasAllowList: opt.AllowList != nil,
+		ConfigHex:    hex.EncodeToString(core.EncodeConfig(opt)),
+	})
 	hardData, err := hard.Marshal()
 	if err != nil {
 		return err
@@ -378,7 +360,7 @@ func replayRewrite(p *Pack, man *Manifest) (*ReplayReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt, err := man.Knobs.Options()
+	opt, _, err := man.Knobs.decode()
 	if err != nil {
 		return nil, err
 	}

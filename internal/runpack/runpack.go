@@ -34,6 +34,7 @@
 package runpack
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -41,8 +42,10 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strings"
 
+	"redfat"
 	"redfat/internal/rtlib"
 )
 
@@ -91,23 +94,30 @@ type RunSpec = rtlib.RunConfig
 // KnobSpec is the decoded .rf.config hardening configuration: which
 // checks the binary carries and which optimizations shaped them. For
 // rewrite packs it is the configuration to replay; for run packs it is
-// provenance extracted from the executed binary.
+// provenance extracted from the executed binary. Its JSON view is the
+// Options JSON view (the AllowList map left out) plus allow-list presence
+// and the raw .rf.config bytes; Verify rejects a pack whose knob fields
+// disagree with its config_hex.
 type KnobSpec struct {
-	LowFat        bool   `json:"lowfat"`
-	CheckReads    bool   `json:"check_reads"`
-	SizeCheck     bool   `json:"size_check"`
-	Elim          bool   `json:"elim"`
-	Batch         bool   `json:"batch"`
-	Merge         bool   `json:"merge"`
-	ElimDom       bool   `json:"elim_dom"`
-	LocalLiveness bool   `json:"local_liveness,omitempty"`
-	NoClobberSpec bool   `json:"no_clobber_spec,omitempty"`
-	Profile       bool   `json:"profile,omitempty"`
-	MaxBatch      int    `json:"max_batch"`
-	AllowList     bool   `json:"allow_list,omitempty"`
-	NoLibcCheck   bool   `json:"no_libc_check,omitempty"`
-	NoIndirect    bool   `json:"no_indirect,omitempty"`
-	ConfigHex     string `json:"config_hex,omitempty"` // raw .rf.config bytes
+	redfat.Options
+	HasAllowList bool   `json:"allow_list,omitempty"`
+	ConfigHex    string `json:"config_hex,omitempty"` // raw .rf.config bytes
+}
+
+// MarshalJSON writes allow_list right after max_batch, where every
+// earlier tool generation put it, so the same knobs give the same
+// manifest bytes.
+func (k KnobSpec) MarshalJSON() ([]byte, error) {
+	type plain KnobSpec // without this method
+	data, err := json.Marshal(plain(k))
+	if err != nil || !k.HasAllowList {
+		return data, err
+	}
+	allow := []byte(`,"allow_list":true`)
+	data = bytes.Replace(data, allow, nil, 1)
+	at := bytes.Index(data, []byte(`"max_batch":`))
+	at += bytes.IndexAny(data[at:], ",}")
+	return slices.Concat(data[:at], allow, data[at:]), nil
 }
 
 // Manifest is the signed description of a pack.

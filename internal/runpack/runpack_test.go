@@ -532,6 +532,45 @@ func TestVerifyRejectsUnknownSchema(t *testing.T) {
 	}
 }
 
+// TestVerifyRejectsKnobsDisagreeingWithConfig: the manifest knob fields
+// and config_hex describe one configuration twice, so a re-signed
+// manifest where they differ, or whose config_hex does not decode, is
+// malformed.
+func TestVerifyRejectsKnobsDisagreeingWithConfig(t *testing.T) {
+	dir, _, _ := makeRunPack(t)
+	for _, tc := range []struct{ name, from, to string }{
+		{"knob-field", `"elim_dom": true`, `"elim_dom": false`},
+		{"max-batch", `"max_batch": 8`, `"max_batch": 9`},
+		{"allow-list-bit", `"config_hex": "01fd000800"`, `"config_hex": "01fd040800"`},
+		{"undefined-bit", `"config_hex": "01fd000800"`, `"config_hex": "01fd200800"`},
+		{"not-hex", `"config_hex": "01fd000800"`, `"config_hex": "zz"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := tamper(t, dir, func(t *testing.T, dir string) {
+				path := filepath.Join(dir, ManifestName)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				edited := bytes.Replace(data, []byte(tc.from), []byte(tc.to), 1)
+				if bytes.Equal(edited, data) {
+					t.Fatalf("manifest has no %s", tc.from)
+				}
+				if err := os.WriteFile(path, edited, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				if err := resign(dir, edited); err != nil {
+					t.Fatal(err)
+				}
+			})
+			_, err := VerifyPath(bad)
+			if got := ExitCode(err); got != ExitBadSchema {
+				t.Fatalf("exit code %d (%v), want %d", got, err, ExitBadSchema)
+			}
+		})
+	}
+}
+
 // resign rewrites runpack.digest over edited manifest bytes (what a
 // hostile editor covering their tracks, or a future tool, would do).
 func resign(dir string, manData []byte) error {

@@ -3,6 +3,8 @@ package runpack
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,6 +12,7 @@ import (
 
 	"redfat"
 	"redfat/internal/juliet"
+	"redfat/internal/knob"
 )
 
 // hostOnlyKnobs are the run-config fields that never enter a RunSpec:
@@ -27,7 +30,7 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 	case reflect.Bool:
 		v.SetBool(true)
 	case reflect.Int, reflect.Int64:
-		v.SetInt(-3)
+		v.SetInt(3)
 	case reflect.Uint64:
 		v.SetUint(7)
 	case reflect.Slice:
@@ -40,11 +43,34 @@ func setNonZero(t *testing.T, name string, v reflect.Value) {
 	}
 }
 
+// checkFlag parses want into field i of a fresh config of type typ
+// through the flags knob.Flags registers, when that field has a flag.
+func checkFlag(t *testing.T, typ reflect.Type, i int, want reflect.Value) {
+	t.Helper()
+	f := typ.Field(i)
+	name, ok := f.Tag.Lookup("flag")
+	if !ok {
+		return
+	}
+	cfg := reflect.New(typ)
+	fs := flag.NewFlagSet("knobs", flag.ContinueOnError)
+	knob.Flags(fs, cfg.Interface())
+	arg := fmt.Sprintf("-%s=%v", name, want.Interface())
+	if err := fs.Parse([]string{arg}); err != nil {
+		t.Errorf("%s: %s: %v", f.Name, arg, err)
+		return
+	}
+	if got := cfg.Elem().Field(i); !reflect.DeepEqual(got.Interface(), want.Interface()) {
+		t.Errorf("%s: %s parsed to %v", f.Name, arg, got.Interface())
+	}
+}
+
 // TestRunSpecCoversEveryKnob classifies every run-config field: a field
 // is either replayed (it carries a JSON key and survives PackRun → Open →
 // Verify → decode with a non-zero value) or host-only (json:"-" and named
 // in hostOnlyKnobs). A new knob that is neither fails here, so replay
-// coverage cannot silently lag the config.
+// coverage cannot silently lag the config. A field with an rfvm flag
+// must parse from it.
 func TestRunSpecCoversEveryKnob(t *testing.T) {
 	var spec RunSpec
 	sv := reflect.ValueOf(&spec).Elem()
@@ -63,6 +89,7 @@ func TestRunSpecCoversEveryKnob(t *testing.T) {
 		default:
 			setNonZero(t, f.Name, sv.Field(i))
 		}
+		checkFlag(t, typ, i, sv.Field(i))
 	}
 
 	c := juliet.CVECases()[0]
@@ -86,6 +113,32 @@ func TestRunSpecCoversEveryKnob(t *testing.T) {
 	}
 	if man.Run == nil || !reflect.DeepEqual(*man.Run, spec) {
 		t.Fatalf("run spec did not round-trip:\npacked:  %+v\ndecoded: %+v", spec, man.Run)
+	}
+}
+
+// checkRemarshals checks that v marshals to the bytes of the manifest
+// object recorded under key in pack dir: the same keys, in the same
+// order.
+func checkRemarshals(t *testing.T, dir, key string, v any) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var recorded bytes.Buffer
+	if err := json.Compact(&recorded, doc[key]); err != nil {
+		t.Fatal(err)
+	}
+	again, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again, recorded.Bytes()) {
+		t.Fatalf("%s object re-marshals as\n%s\nwant\n%s", key, again, recorded.Bytes())
 	}
 }
 
@@ -113,29 +166,7 @@ func TestReplayPackFromPreviousRelease(t *testing.T) {
 		t.Fatalf("decoded run spec %+v, want %+v", man.Run, want)
 	}
 
-	// The run object re-marshals to the recorded keys, in the recorded
-	// order.
-	raw, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Run json.RawMessage `json:"run"`
-	}
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		t.Fatal(err)
-	}
-	var recorded bytes.Buffer
-	if err := json.Compact(&recorded, doc.Run); err != nil {
-		t.Fatal(err)
-	}
-	again, err := json.Marshal(man.Run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, recorded.Bytes()) {
-		t.Fatalf("run object re-marshals as\n%s\nwant\n%s", again, recorded.Bytes())
-	}
+	checkRemarshals(t, dir, "run", man.Run)
 
 	rep, err := Replay(p, man)
 	if err != nil {
@@ -143,5 +174,125 @@ func TestReplayPackFromPreviousRelease(t *testing.T) {
 	}
 	if !rep.Identical() {
 		t.Fatalf("replay diverged in %v", rep.Mismatched)
+	}
+}
+
+// optionsExceptions are the Options fields that are not knobs of their
+// own: only AllowList's presence is recorded (KnobSpec.HasAllowList and
+// its .rf.config bit); the list itself is a rewrite-pack member.
+var optionsExceptions = map[string]bool{"AllowList": true}
+
+// TestOptionsCoverEveryKnob is the hardening twin of
+// TestRunSpecCoversEveryKnob: every Options field outside
+// optionsExceptions must carry a JSON key that round-trips through the
+// manifest knobs, must have a .rf.config bit or byte that round-trips
+// with a non-zero value through Harden → KnobsFromBinary → decode, and,
+// if it has a redfat flag, must parse from it. Fields are set one at a
+// time, so two knobs sharing a bit fail too.
+func TestOptionsCoverEveryKnob(t *testing.T) {
+	bin, err := juliet.CVECases()[0].Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	typ := reflect.TypeOf(redfat.Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if optionsExceptions[f.Name] {
+			continue
+		}
+		t.Run(f.Name, func(t *testing.T) {
+			if tag := f.Tag.Get("json"); tag == "" || tag == "-" {
+				t.Fatalf("%s has no json key", f.Name)
+			}
+			// Harden records MaxBatch 0 as 8, so start from 8.
+			opt := redfat.Options{MaxBatch: 8}
+			v := reflect.ValueOf(&opt).Elem().Field(i)
+			setNonZero(t, f.Name, v)
+
+			data, err := json.Marshal(KnobSpec{Options: opt})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var back KnobSpec
+			if err := json.Unmarshal(data, &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back.Options, opt) {
+				t.Errorf("manifest knobs %s decode to %+v, want %+v", data, back.Options, opt)
+			}
+
+			hard, _, err := redfat.Harden(bin, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, ok := KnobsFromBinary(hard)
+			if !ok {
+				t.Fatal("hardened binary has no decodable .rf.config")
+			}
+			got, _, err := k.decode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, opt) || !reflect.DeepEqual(k.Options, opt) {
+				t.Errorf(".rf.config %s decodes to %+v, want %+v", k.ConfigHex, got, opt)
+			}
+			checkFlag(t, typ, i, v)
+		})
+	}
+}
+
+// TestRewritePackFromPreviousRelease checks a rewrite pack written by the
+// redfat of the previous release (redfat-go/6, run as `redfat -O0
+// -local-liveness -noindirect -nolibccheck -maxbatch 3 -runpack pack`):
+// it must verify, its knobs must decode to the same options and
+// re-marshal to the recorded knobs object, and it must replay
+// byte-identically.
+func TestRewritePackFromPreviousRelease(t *testing.T) {
+	dir := filepath.Join("testdata", "redfat-v6-rewrite")
+	p, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := Verify(p)
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	want := redfat.Defaults()
+	want.Elim, want.Batch, want.Merge, want.ElimDom = false, false, false, false
+	want.LocalLiveness, want.NoIndirect, want.NoLibcCheck = true, true, true
+	want.MaxBatch = 3
+	if man.Knobs == nil || !reflect.DeepEqual(man.Knobs.Options, want) || man.Knobs.HasAllowList {
+		t.Fatalf("decoded knobs %+v, want %+v", man.Knobs, want)
+	}
+	opt, _, err := man.Knobs.decode()
+	if err != nil || !reflect.DeepEqual(opt, want) {
+		t.Fatalf("config_hex decodes to %+v (%v), want %+v", opt, err, want)
+	}
+	checkRemarshals(t, dir, "knobs", man.Knobs)
+
+	rep, err := Replay(p, man)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !rep.Identical() {
+		t.Fatalf("replay diverged in %v", rep.Mismatched)
+	}
+}
+
+// TestKnobsKeepAllowListPlace pins the manifest bytes of a knob set with
+// an allow-list next to later omitempty knobs: allow_list stays right
+// after max_batch, where the previous release wrote it.
+func TestKnobsKeepAllowListPlace(t *testing.T) {
+	opt := redfat.Defaults()
+	opt.MaxBatch, opt.NoLibcCheck, opt.NoIndirect = 8, true, true
+	got, err := json.Marshal(KnobSpec{Options: opt, HasAllowList: true, ConfigHex: "01fd1c0800"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"lowfat":true,"check_reads":true,"size_check":true,"elim":true,` +
+		`"batch":true,"merge":true,"elim_dom":true,"max_batch":8,"allow_list":true,` +
+		`"no_libc_check":true,"no_indirect":true,"config_hex":"01fd1c0800"}`
+	if string(got) != want {
+		t.Fatalf("knobs marshal as\n%s\nwant\n%s", got, want)
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"time"
@@ -222,6 +223,16 @@ func Verify(p *Pack) (*Manifest, error) {
 		if !known[name] {
 			return nil, &VerifyError{Code: ExitMissing, Member: name,
 				Reason: "file present in pack but not in manifest"}
+		}
+	}
+	if k := man.Knobs; k != nil {
+		opt, hasAllowList, err := k.decode()
+		if err != nil {
+			return nil, err
+		}
+		if !reflect.DeepEqual(k.Options, opt) || k.HasAllowList != hasAllowList {
+			return nil, &VerifyError{Code: ExitBadSchema, Member: ManifestName,
+				Reason: "knob fields disagree with config_hex " + k.ConfigHex}
 		}
 	}
 	return &man, nil
