@@ -176,7 +176,7 @@ func run() error {
 		fmt.Fprintf(w, "%-12s %7s %12s %9s %9s %9s %9s %9s %9s %9s %9s %9s\n",
 			"benchmark", "cover", "baseline", "unopt", "+elim", "+batch",
 			"+merge", "+dom", "+ind", "-size", "-reads", "memcheck")
-		rows, err := h.Table1(*scale, w)
+		rows, err := h.Table1(nil, *scale, w)
 		if err != nil {
 			return err
 		}

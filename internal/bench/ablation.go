@@ -77,11 +77,6 @@ func (h *Harness) Tactics(fillerFuncs int, w io.Writer) ([]TacticRow, error) {
 	return rows, nil
 }
 
-// Tactics is the serial form of Harness.Tactics.
-func Tactics(fillerFuncs int, w io.Writer) ([]TacticRow, error) {
-	return (&Harness{}).Tactics(fillerFuncs, w)
-}
-
 // BatchRow reports the overhead at one maximum batch width.
 type BatchRow struct {
 	MaxBatch int     `json:"max_batch"`
@@ -89,58 +84,31 @@ type BatchRow struct {
 }
 
 // BatchSweep measures the benefit of check batching as a function of the
-// maximum trampoline batch width, on a store-dense benchmark. The build
-// and baseline run once, serially; the widths fan out as pool units.
+// maximum trampoline batch width, on a store-dense benchmark.
 func (h *Harness) BatchSweep(benchName string, scale float64, w io.Writer) ([]BatchRow, error) {
-	bm := workload.ByName(benchName)
-	if bm == nil {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
-	}
-	bm = scaled(bm, scale)
-	bin, err := bm.Build()
-	if err != nil {
-		return nil, err
-	}
-	base, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
-	if err != nil {
-		return nil, err
-	}
 	widths := []int{1, 2, 4, 8, 16}
-	rows, err := fanOut(h, "batch", len(widths),
-		func(i int) string { return fmt.Sprintf("width-%d", widths[i]) },
-		func(i int, reg *telemetry.Registry) (BatchRow, error) {
-			width := widths[i]
-			opt := redfat.Defaults()
-			opt.MaxBatch = width
-			if width == 1 {
-				opt.Batch = false
-				opt.Merge = false
-			}
-			hard, _, err := redfat.Harden(bin, opt)
-			if err != nil {
-				return BatchRow{}, err
-			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return BatchRow{}, err
-			}
-			return BatchRow{MaxBatch: width,
-				Slowdown: float64(v.Cycles) / float64(base.Cycles)}, nil
-		})
+	cols := make([]column, len(widths))
+	for i, width := range widths {
+		opt := redfat.Defaults()
+		opt.MaxBatch = width
+		if width == 1 {
+			opt.Batch = false
+			opt.Merge = false
+		}
+		cols[i] = column{label: fmt.Sprintf("width-%d", width), opt: opt}
+	}
+	totals, err := h.sweep("batch", []string{benchName}, nil, scale, cols)
 	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		for _, r := range rows {
-			fmt.Fprintf(w, "max batch %2d: %6.2fx\n", r.MaxBatch, r.Slowdown)
+	rows := make([]BatchRow, len(widths))
+	for i, t := range totals {
+		rows[i] = BatchRow{MaxBatch: widths[i], Slowdown: t.slowdown}
+		if w != nil {
+			fmt.Fprintf(w, "max batch %2d: %6.2fx\n", rows[i].MaxBatch, rows[i].Slowdown)
 		}
 	}
 	return rows, nil
-}
-
-// BatchSweep is the serial form of Harness.BatchSweep.
-func BatchSweep(benchName string, scale float64, w io.Writer) ([]BatchRow, error) {
-	return (&Harness{}).BatchSweep(benchName, scale, w)
 }
 
 // ClobberRow compares trampoline save/restore cost with and without the
@@ -151,52 +119,27 @@ type ClobberRow struct {
 }
 
 // ClobberSweep measures the benefit of the dead-register trampoline
-// specialization on one benchmark. The two variants fan out as pool units.
+// specialization on one benchmark.
 func (h *Harness) ClobberSweep(benchName string, scale float64, w io.Writer) ([]ClobberRow, error) {
-	bm := workload.ByName(benchName)
-	if bm == nil {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
-	}
-	bm = scaled(bm, scale)
-	bin, err := bm.Build()
-	if err != nil {
-		return nil, err
-	}
-	base, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
-	if err != nil {
-		return nil, err
-	}
 	specs := []bool{false, true}
-	rows, err := fanOut(h, "clobber", len(specs),
-		func(i int) string { return fmt.Sprintf("specialized-%v", specs[i]) },
-		func(i int, reg *telemetry.Registry) (ClobberRow, error) {
-			opt := redfat.Defaults()
-			opt.NoClobberSpec = !specs[i]
-			hard, _, err := redfat.Harden(bin, opt)
-			if err != nil {
-				return ClobberRow{}, err
-			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return ClobberRow{}, err
-			}
-			return ClobberRow{Specialized: specs[i],
-				Slowdown: float64(v.Cycles) / float64(base.Cycles)}, nil
-		})
+	cols := make([]column, len(specs))
+	for i, spec := range specs {
+		opt := redfat.Defaults()
+		opt.NoClobberSpec = !spec
+		cols[i] = column{label: fmt.Sprintf("specialized-%v", spec), opt: opt}
+	}
+	totals, err := h.sweep("clobber", []string{benchName}, nil, scale, cols)
 	if err != nil {
 		return nil, err
 	}
-	if w != nil {
-		for _, r := range rows {
-			fmt.Fprintf(w, "clobber specialization %-5v: %6.2fx\n", r.Specialized, r.Slowdown)
+	rows := make([]ClobberRow, len(specs))
+	for i, t := range totals {
+		rows[i] = ClobberRow{Specialized: specs[i], Slowdown: t.slowdown}
+		if w != nil {
+			fmt.Fprintf(w, "clobber specialization %-5v: %6.2fx\n", rows[i].Specialized, rows[i].Slowdown)
 		}
 	}
 	return rows, nil
-}
-
-// ClobberSweep is the serial form of Harness.ClobberSweep.
-func ClobberSweep(benchName string, scale float64, w io.Writer) ([]ClobberRow, error) {
-	return (&Harness{}).ClobberSweep(benchName, scale, w)
 }
 
 // FuzzRow compares allow-list coverage with and without the
@@ -210,11 +153,11 @@ type FuzzRow struct {
 // as the fuzzing budget grows. The build and profile rewrite run once,
 // serially; the budgets fan out as pool units.
 func (h *Harness) FuzzBoostStudy(benchName string, budgets []int, w io.Writer) ([]FuzzRow, error) {
-	bm := workload.ByName(benchName)
-	if bm == nil {
-		return nil, fmt.Errorf("bench: unknown benchmark %q", benchName)
+	bms, err := resolve([]string{benchName}, nil)
+	if err != nil {
+		return nil, err
 	}
-	bm = scaled(bm, 0.02)
+	bm := scaled(bms[0], 0.02)
 	bin, err := bm.Build()
 	if err != nil {
 		return nil, err
@@ -234,15 +177,11 @@ func (h *Harness) FuzzBoostStudy(benchName string, budgets []int, w io.Writer) (
 			}
 			opt := redfat.Defaults()
 			opt.AllowList = res.Profiler.AllowList()
-			hard, _, err := redfat.Harden(bin, opt)
+			c, err := hardenRun(bin, opt, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
 			if err != nil {
 				return FuzzRow{}, err
 			}
-			_, rt, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return FuzzRow{}, err
-			}
-			return FuzzRow{Runs: budgets[i], Coverage: rt.Coverage()}, nil
+			return FuzzRow{Runs: budgets[i], Coverage: c.coverage}, nil
 		})
 	if err != nil {
 		return nil, err
@@ -253,11 +192,6 @@ func (h *Harness) FuzzBoostStudy(benchName string, budgets []int, w io.Writer) (
 		}
 	}
 	return rows, nil
-}
-
-// FuzzBoostStudy is the serial form of Harness.FuzzBoostStudy.
-func FuzzBoostStudy(benchName string, budgets []int, w io.Writer) ([]FuzzRow, error) {
-	return (&Harness{}).FuzzBoostStudy(benchName, budgets, w)
 }
 
 // DataflowRow reports total guest cycles over a workload suite for one
@@ -282,82 +216,23 @@ var dataflowCombos = []struct{ elimDom, local bool }{
 
 // DataflowSweep measures the dataflow-engine ablation: every combination
 // of {ElimDom} × {LocalLiveness} over the named benchmarks (nil = the
-// full suite). Builds and baselines run once per benchmark, serially;
-// the benchmark × configuration grid fans out as pool units.
+// full suite).
 func (h *Harness) DataflowSweep(names []string, scale float64, w io.Writer) ([]DataflowRow, error) {
-	var bms []*workload.Benchmark
-	if names == nil {
-		bms = workload.All()
-	} else {
-		for _, name := range names {
-			bm := workload.ByName(name)
-			if bm == nil {
-				return nil, fmt.Errorf("bench: unknown benchmark %q", name)
-			}
-			bms = append(bms, bm)
-		}
+	cols := make([]column, len(dataflowCombos))
+	for i, c := range dataflowCombos {
+		opt := redfat.Defaults()
+		opt.ElimDom = c.elimDom
+		opt.LocalLiveness = c.local
+		cols[i] = column{label: fmt.Sprintf("dom=%v,local=%v", c.elimDom, c.local), opt: opt}
 	}
-	type prep struct {
-		bm    *workload.Benchmark
-		bin   *relf.Binary
-		base  uint64
-		exitC uint64
-	}
-	preps := make([]*prep, len(bms))
-	for i, bm := range bms {
-		bm = scaled(bm, scale)
-		bin, err := bm.Build()
-		if err != nil {
-			return nil, err
-		}
-		v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		preps[i] = &prep{bm: bm, bin: bin, base: v.Cycles, exitC: v.ExitCode}
-	}
-	nc := len(dataflowCombos)
-	cells, err := fanOut(h, "dataflow", len(preps)*nc,
-		func(i int) string {
-			c := dataflowCombos[i%nc]
-			return fmt.Sprintf("%s/dom=%v,local=%v", preps[i/nc].bm.Name, c.elimDom, c.local)
-		},
-		func(i int, reg *telemetry.Registry) (uint64, error) {
-			p, c := preps[i/nc], dataflowCombos[i%nc]
-			opt := redfat.Defaults()
-			opt.ElimDom = c.elimDom
-			opt.LocalLiveness = c.local
-			hard, _, err := redfat.Harden(p.bin, opt)
-			if err != nil {
-				return 0, err
-			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
-			if err != nil {
-				return 0, err
-			}
-			if v.ExitCode != p.exitC {
-				return 0, fmt.Errorf("bench: %s checksum changed under dom=%v local=%v",
-					p.bm.Name, c.elimDom, c.local)
-			}
-			return v.Cycles, nil
-		})
+	totals, err := h.sweep("dataflow", names, workload.All(), scale, cols)
 	if err != nil {
 		return nil, err
 	}
-	var baseTotal uint64
-	for _, p := range preps {
-		baseTotal += p.base
-	}
-	rows := make([]DataflowRow, nc)
-	for ci, c := range dataflowCombos {
-		var total uint64
-		for bi := range preps {
-			total += cells[bi*nc+ci]
-		}
-		rows[ci] = DataflowRow{
-			ElimDom: c.elimDom, LocalLiveness: c.local,
-			TotalCycles: total, Slowdown: float64(total) / float64(baseTotal),
-		}
+	rows := make([]DataflowRow, len(totals))
+	for i, t := range totals {
+		rows[i] = DataflowRow{ElimDom: dataflowCombos[i].elimDom, LocalLiveness: dataflowCombos[i].local,
+			TotalCycles: t.cycles, Slowdown: t.slowdown}
 	}
 	if w != nil {
 		for _, r := range rows {
@@ -371,11 +246,6 @@ func (h *Harness) DataflowSweep(names []string, scale float64, w io.Writer) ([]D
 		}
 	}
 	return rows, nil
-}
-
-// DataflowSweep is the serial form of Harness.DataflowSweep.
-func DataflowSweep(names []string, scale float64, w io.Writer) ([]DataflowRow, error) {
-	return (&Harness{}).DataflowSweep(names, scale, w)
 }
 
 // IndirectRow reports one {indirect-flow recovery} × {dominator
@@ -406,96 +276,26 @@ var indirectCombos = []struct{ noInd, elimDom bool }{
 // IndirectSweep measures the indirect-flow-recovery ablation: every
 // combination of {NoIndirect} × {ElimDom} over the named benchmarks
 // (nil = the switch-dense suite, the marker-built workloads where
-// recovery has edges to find). Builds and baselines run once per
-// benchmark, serially; the benchmark × configuration grid fans out as
-// pool units. Every cell's exit checksum is asserted against the
-// baseline — recovery must never change guest results.
+// recovery has edges to find). Recovery must never change guest
+// results, and like every sweep cell each one's exit checksum is
+// checked against the baseline.
 func (h *Harness) IndirectSweep(names []string, scale float64, w io.Writer) ([]IndirectRow, error) {
-	var bms []*workload.Benchmark
-	if names == nil {
-		bms = workload.SwitchDense()
-	} else {
-		for _, name := range names {
-			bm := workload.ByName(name)
-			if bm == nil {
-				return nil, fmt.Errorf("bench: unknown benchmark %q", name)
-			}
-			bms = append(bms, bm)
-		}
+	cols := make([]column, len(indirectCombos))
+	for i, c := range indirectCombos {
+		opt := redfat.Defaults()
+		opt.NoIndirect = c.noInd
+		opt.ElimDom = c.elimDom
+		cols[i] = column{label: fmt.Sprintf("noind=%v,dom=%v", c.noInd, c.elimDom),
+			opt: opt, noIndirect: c.noInd}
 	}
-	type prep struct {
-		bm    *workload.Benchmark
-		bin   *relf.Binary
-		base  uint64
-		exitC uint64
-	}
-	preps := make([]*prep, len(bms))
-	for i, bm := range bms {
-		bm = scaled(bm, scale)
-		bin, err := bm.Build()
-		if err != nil {
-			return nil, err
-		}
-		v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: h.Metrics})
-		if err != nil {
-			return nil, err
-		}
-		preps[i] = &prep{bm: bm, bin: bin, base: v.Cycles, exitC: v.ExitCode}
-	}
-	type cell struct {
-		cycles   uint64
-		resolved int
-		elim     int
-	}
-	nc := len(indirectCombos)
-	cells, err := fanOut(h, "indirect", len(preps)*nc,
-		func(i int) string {
-			c := indirectCombos[i%nc]
-			return fmt.Sprintf("%s/noind=%v,dom=%v", preps[i/nc].bm.Name, c.noInd, c.elimDom)
-		},
-		func(i int, reg *telemetry.Registry) (cell, error) {
-			p, c := preps[i/nc], indirectCombos[i%nc]
-			opt := redfat.Defaults()
-			opt.NoIndirect = c.noInd
-			opt.ElimDom = c.elimDom
-			hard, rep, err := redfat.Harden(p.bin, opt)
-			if err != nil {
-				return cell{}, err
-			}
-			v, _, err := rtlib.RunHardened(hard,
-				rtlib.RunConfig{Input: p.bm.RefInput(), NoIndirect: c.noInd, Metrics: reg})
-			if err != nil {
-				return cell{}, err
-			}
-			if v.ExitCode != p.exitC {
-				return cell{}, fmt.Errorf("bench: %s checksum changed under noind=%v dom=%v",
-					p.bm.Name, c.noInd, c.elimDom)
-			}
-			return cell{cycles: v.Cycles, resolved: rep.IndirectResolved,
-				elim: rep.ElimDominated}, nil
-		})
+	totals, err := h.sweep("indirect", names, workload.SwitchDense(), scale, cols)
 	if err != nil {
 		return nil, err
 	}
-	var baseTotal uint64
-	for _, p := range preps {
-		baseTotal += p.base
-	}
-	rows := make([]IndirectRow, nc)
-	for ci, c := range indirectCombos {
-		var total uint64
-		var resolved, elim int
-		for bi := range preps {
-			cl := cells[bi*nc+ci]
-			total += cl.cycles
-			resolved += cl.resolved
-			elim += cl.elim
-		}
-		rows[ci] = IndirectRow{
-			NoIndirect: c.noInd, ElimDom: c.elimDom,
-			TotalCycles: total, Slowdown: float64(total) / float64(baseTotal),
-			Resolved: resolved, Eliminated: elim,
-		}
+	rows := make([]IndirectRow, len(totals))
+	for i, t := range totals {
+		rows[i] = IndirectRow{NoIndirect: indirectCombos[i].noInd, ElimDom: indirectCombos[i].elimDom,
+			TotalCycles: t.cycles, Slowdown: t.slowdown, Resolved: t.resolved, Eliminated: t.elimDom}
 	}
 	if w != nil {
 		for _, r := range rows {
@@ -508,9 +308,4 @@ func (h *Harness) IndirectSweep(names []string, scale float64, w io.Writer) ([]I
 			int64(blocked.TotalCycles)-int64(unlocked.TotalCycles))
 	}
 	return rows, nil
-}
-
-// IndirectSweep is the serial form of Harness.IndirectSweep.
-func IndirectSweep(names []string, scale float64, w io.Writer) ([]IndirectRow, error) {
-	return (&Harness{}).IndirectSweep(names, scale, w)
 }

@@ -107,14 +107,28 @@ func (t *Trajectory) compareTable1(curr, base *Results) {
 		return
 	}
 	cs, bs := curr.Table1Summary, base.Table1Summary
-	t.add("table1_summary", "mean_coverage", bs.MeanCoverage, cs.MeanCoverage, false)
-	t.add("table1_summary", "unopt", bs.Unopt, cs.Unopt, true)
-	t.add("table1_summary", "elim", bs.Elim, cs.Elim, true)
-	t.add("table1_summary", "batch", bs.Batch, cs.Batch, true)
-	t.add("table1_summary", "merge", bs.Merge, cs.Merge, true)
-	t.add("table1_summary", "nosize", bs.NoSize, cs.NoSize, true)
-	t.add("table1_summary", "noreads", bs.NoReads, cs.NoReads, true)
-	t.add("table1_summary", "memcheck", bs.Memcheck, cs.Memcheck, true)
+	for _, c := range []struct {
+		name        string
+		base, curr  float64
+		lowerBetter bool
+	}{
+		{"mean_coverage", bs.MeanCoverage, cs.MeanCoverage, false},
+		{"unopt", bs.Unopt, cs.Unopt, true},
+		{"elim", bs.Elim, cs.Elim, true},
+		{"batch", bs.Batch, cs.Batch, true},
+		{"merge", bs.Merge, cs.Merge, true},
+		{"dom", bs.Dom, cs.Dom, true},
+		{"ind", bs.Ind, cs.Ind, true},
+		{"nosize", bs.NoSize, cs.NoSize, true},
+		{"noreads", bs.NoReads, cs.NoReads, true},
+		{"memcheck", bs.Memcheck, cs.Memcheck, true},
+	} {
+		if c.base == 0 && c.curr != 0 {
+			t.note("table1_summary: %s absent from baseline (it predates the column)", c.name)
+			continue
+		}
+		t.add("table1_summary", c.name, c.base, c.curr, c.lowerBetter)
+	}
 
 	// Per-benchmark: the production configuration (merge column).
 	baseRows := map[string]*Table1Row{}

@@ -51,6 +51,41 @@ func TestCompareFlagsDirectionalRegressions(t *testing.T) {
 	}
 }
 
+// TestCompareCoversEverySummaryColumn checks that -baseline compares the
+// +dom and +ind geomeans like every other Table 1 column, and that a
+// column an older baseline file lacks (decoded as 0) becomes a note
+// rather than a regression.
+func TestCompareCoversEverySummaryColumn(t *testing.T) {
+	base := trajResults(1.5, 0.9)
+	base.Table1Summary.Dom, base.Table1Summary.Ind = 1.5, 1.4
+	curr := trajResults(1.5, 0.9)
+	curr.Table1Summary.Dom, curr.Table1Summary.Ind = 1.8, 1.4
+	regs := Compare(curr, base, 0).Regressions()
+	if len(regs) != 1 || regs[0].Metric != "dom" || !regs[0].LowerIsBetter {
+		t.Fatalf("want one lower-is-better dom regression, got %+v", regs)
+	}
+	sawInd := false
+	for _, d := range Compare(curr, base, 0).Deltas {
+		sawInd = sawInd || d.Metric == "ind"
+	}
+	if !sawInd {
+		t.Error("ind column not compared")
+	}
+
+	base.Table1Summary.Dom = 0 // a baseline written before the dom column
+	traj := Compare(curr, base, 0)
+	if regs := traj.Regressions(); len(regs) != 0 {
+		t.Fatalf("missing baseline column flagged as regression: %+v", regs)
+	}
+	sawNote := false
+	for _, n := range traj.Notes {
+		sawNote = sawNote || strings.Contains(n, "dom absent from baseline")
+	}
+	if !sawNote {
+		t.Errorf("missing baseline column not noted: %v", traj.Notes)
+	}
+}
+
 func TestCompareNotesScaleMismatchAndOneSidedSections(t *testing.T) {
 	base := trajResults(1.5, 0.9)
 	curr := trajResults(1.5, 0.9)

@@ -1,22 +1,27 @@
 // Package bench is the experiment harness: it regenerates every table and
-// figure of the paper's evaluation (§7) on the RF64 substrate.
+// figure of the paper's evaluation (§7) on the RF64 substrate, plus our
+// §6 ablations. Every experiment is a method on Harness:
 //
-//	Table1         — SPEC CPU2006 slow-downs and coverage (§7.1)
-//	DetectedErrors — the calculix/wrf OOB reads (§7.1)
+//	Table1         — SPEC CPU2006 slow-downs, coverage and detected errors (§7.1)
 //	FalsePositives — FP counts with the allow-list disabled (§7.1)
 //	Table2         — CVE + Juliet non-incremental detection (§7.2)
+//	Table2Extended — use-after-free and double-free suites (ours)
 //	Figure8        — Chrome/Kraken write-protection overhead (§7.3)
-//	Ablation       — patch-tactic and batching ablations (ours)
+//	Tactics, BatchSweep, ClobberSweep, DataflowSweep, IndirectSweep,
+//	FuzzBoostStudy — the six ablations (ours)
+//	GuestProfiles  — guest sampling-profiler hot sites (ours)
 //
 // Slow-downs are measured in deterministic VM cycles. Absolute numbers are
 // not comparable to the paper's Xeon wall-clock; orderings and rough
 // ratios are (see EXPERIMENTS.md).
 //
-// Every experiment is a method on Harness, which fans independent units
-// (a benchmark, a benchmark × configuration cell, a Juliet case) over a
-// bounded worker pool and renders the assembled results afterwards, so
-// output is byte-identical at any pool width. The package-level functions
-// are serial shorthands for the zero-value harness.
+// The Harness fans independent units (a benchmark, a benchmark ×
+// configuration cell, a Juliet case) over a bounded worker pool and
+// renders the assembled results afterwards, so output is byte-identical
+// at any pool width; the zero value runs serially. Table 1 and the
+// batch, clobber, dataflow and indirect ablations share one grid path
+// (grid.go): prepare each benchmark, measure every (benchmark ×
+// configuration) cell, fold the cells into the experiment's rows.
 package bench
 
 import (
@@ -28,7 +33,6 @@ import (
 	"redfat/internal/juliet"
 	"redfat/internal/kraken"
 	"redfat/internal/memcheck"
-	"redfat/internal/profile"
 	"redfat/internal/redfat"
 	"redfat/internal/relf"
 	"redfat/internal/rtlib"
@@ -75,202 +79,64 @@ type Table1Row struct {
 	ChecksumOK     bool `json:"checksum_ok"`
 }
 
-// table1Configs returns the instrumentation ladder of Table 1's columns.
-// The ladder runs with indirect-flow recovery disabled through +dom so
-// the +ind step isolates the recovered-edge benefit (elimination across
-// formerly-Unknown boundaries); the later columns inherit recovery on.
-func table1Configs(allow profile.AllowList) []redfat.Options {
-	base := redfat.Options{LowFat: true, CheckReads: true, SizeCheck: true,
-		AllowList: allow, NoIndirect: true}
-	unopt := base
-	elim := base
-	elim.Elim = true
-	batch := elim
-	batch.Batch = true
-	merge := batch
-	merge.Merge = true
-	dom := merge
-	dom.ElimDom = true
-	ind := dom
-	ind.NoIndirect = false
-	nosize := ind
-	nosize.SizeCheck = false
-	noreads := nosize
-	noreads.CheckReads = false
-	return []redfat.Options{unopt, elim, batch, merge, dom, ind, nosize, noreads}
+// table1Columns returns Table 1's columns: the cumulative
+// instrumentation ladder, then the Memcheck comparison. The ladder runs with indirect-flow
+// recovery disabled through +dom so the +ind step isolates the
+// recovered-edge benefit (elimination across formerly-Unknown
+// boundaries); the later columns inherit recovery on.
+func table1Columns() []column {
+	ladder := []struct {
+		label string
+		step  func(*redfat.Options)
+	}{
+		{"unopt", func(*redfat.Options) {}},
+		{"+elim", func(o *redfat.Options) { o.Elim = true }},
+		{"+batch", func(o *redfat.Options) { o.Batch = true }},
+		{"+merge", func(o *redfat.Options) { o.Merge = true }},
+		{"+dom", func(o *redfat.Options) { o.ElimDom = true }},
+		{"+ind", func(o *redfat.Options) { o.NoIndirect = false }},
+		{"-size", func(o *redfat.Options) { o.SizeCheck = false }},
+		{"-reads", func(o *redfat.Options) { o.CheckReads = false }},
+	}
+	opt := redfat.Options{LowFat: true, CheckReads: true, SizeCheck: true, NoIndirect: true}
+	var cols []column
+	for _, c := range ladder {
+		c.step(&opt)
+		cols = append(cols, column{label: c.label, opt: opt})
+	}
+	return append(cols, column{label: "memcheck", memcheck: true})
 }
 
-// t1nConfigs is the number of Table 1 measurement columns: the eight-step
-// instrumentation ladder plus the Memcheck comparison.
-const t1nConfigs = 9
-
-// t1configNames labels the Table 1 configuration columns in progress output.
-var t1configNames = [t1nConfigs]string{
-	"unopt", "+elim", "+batch", "+merge", "+dom", "+ind", "-size", "-reads", "memcheck",
-}
-
-// t1prep is the per-benchmark state shared by the seven Table 1
-// configuration runs: the built binary, its baseline execution, and the
-// phase-1 allow-list.
-type t1prep struct {
-	bm    *workload.Benchmark
-	bin   *relf.Binary
-	base  *vm.VM
-	allow profile.AllowList
-}
-
-// table1Prep builds one benchmark, measures its baseline, and derives the
-// allow-list from the train workload (paper methodology, Fig. 5 phase 1).
-func table1Prep(bm *workload.Benchmark, scale float64, reg *telemetry.Registry) (*t1prep, error) {
-	bm = scaled(bm, scale)
-	bin, err := bm.Build()
+// Table1 runs the named benchmarks (nil = the SPEC set, then the
+// switch-dense marker-built benchmarks) through Table 1's columns and
+// renders the table to w (nil ok). The switch-dense benchmarks are where
+// the +ind column separates from +dom: the SPEC binaries carry no
+// jump-table declarations, so recovery is a no-op there.
+func (h *Harness) Table1(names []string, scale float64, w io.Writer) ([]*Table1Row, error) {
+	preps, err := h.prepare("table1", names, append(workload.All(), workload.SwitchDense()...), scale, true)
 	if err != nil {
 		return nil, err
 	}
-	base, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-	if err != nil {
-		return nil, fmt.Errorf("%s baseline: %w", bm.Name, err)
-	}
-	allow, err := allowListFor(bin, bm, reg)
-	if err != nil {
-		return nil, err
-	}
-	return &t1prep{bm: bm, bin: bin, base: base, allow: allow}, nil
-}
-
-// t1res is one (benchmark × configuration) cell of Table 1.
-type t1res struct {
-	cycles   uint64
-	exitOK   bool
-	coverage float64 // config 3 (+merge) only
-	errors   int     // config 3 (+merge) only
-}
-
-// table1Config measures one configuration column for a prepared
-// benchmark: columns 0–7 are the instrumentation ladder, column 8 is the
-// Memcheck comparison.
-func table1Config(p *t1prep, c int, reg *telemetry.Registry) (t1res, error) {
-	if c == t1nConfigs-1 {
-		mc, err := memcheck.Run(p.bin, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
-		if err != nil {
-			return t1res{}, fmt.Errorf("%s memcheck: %w", p.bm.Name, err)
-		}
-		return t1res{cycles: mc.Cycles, exitOK: mc.ExitCode == p.base.ExitCode}, nil
-	}
-	hard, _, err := redfat.Harden(p.bin, table1Configs(p.allow)[c])
-	if err != nil {
-		return t1res{}, fmt.Errorf("%s config %d: %w", p.bm.Name, c, err)
-	}
-	v, rt, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: p.bm.RefInput(), Metrics: reg})
-	if err != nil {
-		return t1res{}, fmt.Errorf("%s config %d run: %w", p.bm.Name, c, err)
-	}
-	r := t1res{cycles: v.Cycles, exitOK: v.ExitCode == p.base.ExitCode}
-	if c == 3 { // +merge: full checking with per-site reports intact
-		r.coverage = rt.Coverage()
-		r.errors = vm.DistinctErrorSites(v.Errors)
-	}
-	return r, nil
-}
-
-// assembleT1Row folds the nine configuration cells into a table row.
-func assembleT1Row(p *t1prep, cells []t1res) *Table1Row {
-	row := &Table1Row{Name: p.bm.Name, Lang: p.bm.Lang, ChecksumOK: true,
-		BaselineCycles: p.base.Cycles}
-	for _, c := range cells {
-		if !c.exitOK {
-			row.ChecksumOK = false
-		}
-	}
-	slow := func(i int) float64 { return float64(cells[i].cycles) / float64(p.base.Cycles) }
-	row.Unopt, row.Elim, row.Batch = slow(0), slow(1), slow(2)
-	row.Merge, row.Dom, row.Ind = slow(3), slow(4), slow(5)
-	row.NoSize, row.NoReads = slow(6), slow(7)
-	row.Memcheck = slow(8)
-	row.Coverage = cells[3].coverage
-	row.DetectedErrors = cells[3].errors
-	return row
-}
-
-// Table1Bench runs the full Table 1 pipeline for one benchmark at the
-// given workload scale (1.0 = full ref size), serially.
-func Table1Bench(bm *workload.Benchmark, scale float64) (*Table1Row, error) {
-	p, err := table1Prep(bm, scale, nil)
-	if err != nil {
-		return nil, err
-	}
-	cells := make([]t1res, t1nConfigs)
-	for c := range cells {
-		if cells[c], err = table1Config(p, c, nil); err != nil {
-			return nil, err
-		}
-	}
-	return assembleT1Row(p, cells), nil
-}
-
-func allowListFor(bin *relf.Binary, bm *workload.Benchmark, reg *telemetry.Registry) (profile.AllowList, error) {
-	profBin, _, err := redfat.Harden(bin, profile.PhaseOneOptions(redfat.Defaults()))
-	if err != nil {
-		return nil, err
-	}
-	p := profile.NewProfiler()
-	_, rt, err := rtlib.RunHardened(profBin, rtlib.RunConfig{Input: bm.TrainInput(), Metrics: reg})
-	if err != nil {
-		return nil, fmt.Errorf("%s profiling: %w", bm.Name, err)
-	}
-	p.Accumulate(rt)
-	return p.AllowList(), nil
-}
-
-func scaled(bm *workload.Benchmark, scale float64) *workload.Benchmark {
-	cp := *bm
-	cp.RefScale = uint64(float64(bm.RefScale) * scale)
-	if cp.RefScale < 800 {
-		cp.RefScale = 800
-	}
-	cp.TrainScale = cp.RefScale / 8
-	return &cp
-}
-
-// Table1 runs every benchmark over the harness pool in two fan-out
-// stages — per-benchmark preparation (build, baseline, allow-list), then
-// the (benchmark × configuration) grid — and renders the table to w
-// (nil ok). Rows are assembled in benchmark order regardless of
-// completion order, so the output is identical at any pool width. The
-// switch-dense marker-built benchmarks ride along after the SPEC set:
-// they are where the +ind column separates from +dom (the SPEC binaries
-// carry no jump-table declarations, so recovery is a no-op there).
-func (h *Harness) Table1(scale float64, w io.Writer) ([]*Table1Row, error) {
-	bms := append(workload.All(), workload.SwitchDense()...)
-	preps, err := fanOut(h, "table1/prep", len(bms),
-		func(i int) string { return bms[i].Name },
-		func(i int, reg *telemetry.Registry) (*t1prep, error) {
-			return table1Prep(bms[i], scale, reg)
-		})
-	if err != nil {
-		return nil, err
-	}
-	cells, err := fanOut(h, "table1", len(preps)*t1nConfigs,
-		func(i int) string {
-			return preps[i/t1nConfigs].bm.Name + "/" + t1configNames[i%t1nConfigs]
-		},
-		func(i int, reg *telemetry.Registry) (t1res, error) {
-			return table1Config(preps[i/t1nConfigs], i%t1nConfigs, reg)
-		})
+	cells, err := h.grid("table1", preps, table1Columns())
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]*Table1Row, len(preps))
-	for b := range preps {
-		rows[b] = assembleT1Row(preps[b], cells[b*t1nConfigs:(b+1)*t1nConfigs])
+	for b, p := range preps {
+		c := cells[b]
+		slow := func(i int) float64 { return float64(c[i].cycles) / float64(p.baseCycles) }
+		row := &Table1Row{Name: p.bm.Name, Lang: p.bm.Lang, BaselineCycles: p.baseCycles,
+			Unopt: slow(0), Elim: slow(1), Batch: slow(2), Merge: slow(3), Dom: slow(4),
+			Ind: slow(5), NoSize: slow(6), NoReads: slow(7), Memcheck: slow(8),
+			// +merge: full checking with per-site reports intact.
+			Coverage: c[3].coverage, DetectedErrors: len(c[3].sites), ChecksumOK: true}
+		for _, x := range c {
+			row.ChecksumOK = row.ChecksumOK && x.exitOK
+		}
+		rows[b] = row
 	}
 	renderTable1(rows, w)
 	return rows, nil
-}
-
-// Table1 runs every benchmark serially and renders the table to w (nil ok).
-func Table1(scale float64, w io.Writer) ([]*Table1Row, error) {
-	return (&Harness{}).Table1(scale, w)
 }
 
 // renderTable1 writes the per-benchmark rows and the geomean summary row.
@@ -284,18 +150,10 @@ func renderTable1(rows []*Table1Row, w io.Writer) {
 			row.Unopt, row.Elim, row.Batch, row.Merge, row.Dom, row.Ind,
 			row.NoSize, row.NoReads, row.Memcheck, okFlag(row.ChecksumOK))
 	}
+	g := Summarize(rows)
 	fmt.Fprintf(w, "%-12s %6.1f%% %12s %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx %8.2fx\n",
-		"geomean", 100*mean(rows, func(r *Table1Row) float64 { return r.Coverage }),
-		"",
-		geo(rows, func(r *Table1Row) float64 { return r.Unopt }),
-		geo(rows, func(r *Table1Row) float64 { return r.Elim }),
-		geo(rows, func(r *Table1Row) float64 { return r.Batch }),
-		geo(rows, func(r *Table1Row) float64 { return r.Merge }),
-		geo(rows, func(r *Table1Row) float64 { return r.Dom }),
-		geo(rows, func(r *Table1Row) float64 { return r.Ind }),
-		geo(rows, func(r *Table1Row) float64 { return r.NoSize }),
-		geo(rows, func(r *Table1Row) float64 { return r.NoReads }),
-		geo(rows, func(r *Table1Row) float64 { return r.Memcheck }))
+		"geomean", 100*g.MeanCoverage, "", g.Unopt, g.Elim, g.Batch, g.Merge, g.Dom, g.Ind,
+		g.NoSize, g.NoReads, g.Memcheck)
 }
 
 func okFlag(ok bool) string {
@@ -338,25 +196,21 @@ type FPRow struct {
 // Benchmarks fan out as units over the harness pool.
 func (h *Harness) FalsePositives(scale float64, w io.Writer) ([]FPRow, error) {
 	bms := workload.All()
-	type fpUnit struct {
-		row  FPRow
-		keep bool
-	}
-	units, err := fanOut(h, "falsepos", len(bms),
+	all, err := fanOut(h, "falsepos", len(bms),
 		func(i int) string { return bms[i].Name },
-		func(i int, reg *telemetry.Registry) (fpUnit, error) {
+		func(i int, reg *telemetry.Registry) (FPRow, error) {
 			bm := scaled(bms[i], scale)
 			bin, err := bm.Build()
 			if err != nil {
-				return fpUnit{}, err
+				return FPRow{}, err
 			}
 			fullPCs, err := errorPCs(bin, bm, true, reg)
 			if err != nil {
-				return fpUnit{}, err
+				return FPRow{}, err
 			}
 			rzPCs, err := errorPCs(bin, bm, false, reg)
 			if err != nil {
-				return fpUnit{}, err
+				return FPRow{}, err
 			}
 			n := 0
 			for pc := range fullPCs {
@@ -364,18 +218,15 @@ func (h *Harness) FalsePositives(scale float64, w io.Writer) ([]FPRow, error) {
 					n++
 				}
 			}
-			return fpUnit{
-				row:  FPRow{Name: bm.Name, Count: n, Planted: bm.PlantedFPs},
-				keep: n > 0 || bm.PlantedFPs > 0,
-			}, nil
+			return FPRow{Name: bm.Name, Count: n, Planted: bm.PlantedFPs}, nil
 		})
 	if err != nil {
 		return nil, err
 	}
 	var rows []FPRow
-	for _, u := range units {
-		if u.keep {
-			rows = append(rows, u.row)
+	for _, r := range all {
+		if r.Count > 0 || r.Planted > 0 {
+			rows = append(rows, r)
 		}
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].Name < rows[j].Name })
@@ -387,25 +238,13 @@ func (h *Harness) FalsePositives(scale float64, w io.Writer) ([]FPRow, error) {
 	return rows, nil
 }
 
-// FalsePositives is the serial form of Harness.FalsePositives.
-func FalsePositives(scale float64, w io.Writer) ([]FPRow, error) {
-	return (&Harness{}).FalsePositives(scale, w)
-}
-
 func errorPCs(bin *relf.Binary, bm *workload.Benchmark, lowfat bool, reg *telemetry.Registry) (map[uint64]bool, error) {
 	opt := redfat.Defaults()
 	opt.LowFat = lowfat
 	opt.Merge = false   // per-operand sites, as the paper counts reports
 	opt.ElimDom = false // keep dominated duplicates: reports stay per operand
-	hard, _, err := redfat.Harden(bin, opt)
-	if err != nil {
-		return nil, err
-	}
-	v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
-	if err != nil {
-		return nil, err
-	}
-	return vm.ErrorSites(v.Errors), nil
+	c, err := hardenRun(bin, opt, rtlib.RunConfig{Input: bm.RefInput(), Metrics: reg})
+	return c.sites, err
 }
 
 // Table2Row is one line of paper Table 2.
@@ -470,11 +309,6 @@ func (h *Harness) Table2(w io.Writer) ([]Table2Row, error) {
 	}
 	renderTable2(rows, w)
 	return rows, nil
-}
-
-// Table2 is the serial form of Harness.Table2.
-func Table2(w io.Writer) ([]Table2Row, error) {
-	return (&Harness{}).Table2(w)
 }
 
 func renderTable2(rows []Table2Row, w io.Writer) {
@@ -570,11 +404,6 @@ func (h *Harness) Table2Extended(w io.Writer) ([]Table2Row, error) {
 	return rows, nil
 }
 
-// Table2Extended is the serial form of Harness.Table2Extended.
-func Table2Extended(w io.Writer) ([]Table2Row, error) {
-	return (&Harness{}).Table2Extended(w)
-}
-
 // Fig8Row is one Kraken sub-benchmark's overhead.
 type Fig8Row struct {
 	Name     string  `json:"name"`
@@ -583,8 +412,8 @@ type Fig8Row struct {
 
 // Figure8 builds the Chrome-scale binary, hardens all writes with
 // (Redzone)+(LowFat), and measures per-Kraken-benchmark overhead (§7.3).
-// The build and rewrite run once, serially; the Kraken sub-benchmarks fan
-// out as pool units.
+// The build and rewrite run once, serially (the image is hardened once,
+// not per row); the Kraken sub-benchmarks fan out as pool units.
 func (h *Harness) Figure8(fillerFuncs int, scale uint64, w io.Writer) ([]Fig8Row, float64, error) {
 	bin, err := kraken.Build(fillerFuncs)
 	if err != nil {
@@ -609,15 +438,15 @@ func (h *Harness) Figure8(fillerFuncs int, scale uint64, w io.Writer) ([]Fig8Row
 			if err != nil {
 				return Fig8Row{}, fmt.Errorf("%s baseline: %w", name, err)
 			}
-			v, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{Input: input, AbortOnError: true, Metrics: reg})
+			c, err := runHardened(hard, rtlib.RunConfig{Input: input, AbortOnError: true, Metrics: reg})
 			if err != nil {
 				return Fig8Row{}, fmt.Errorf("%s hardened: %w", name, err)
 			}
-			if v.ExitCode != base.ExitCode {
+			if c.exit != base.ExitCode {
 				return Fig8Row{}, fmt.Errorf("%s: checksum mismatch", name)
 			}
 			return Fig8Row{Name: name,
-				Slowdown: float64(v.Cycles) / float64(base.Cycles)}, nil
+				Slowdown: float64(c.cycles) / float64(base.Cycles)}, nil
 		})
 	if err != nil {
 		return nil, 0, err
@@ -634,9 +463,4 @@ func (h *Harness) Figure8(fillerFuncs int, scale uint64, w io.Writer) ([]Fig8Row
 		fmt.Fprintf(w, "%-22s %6.0f%%\n", "Geometric Mean", gm*100)
 	}
 	return rows, gm, nil
-}
-
-// Figure8 is the serial form of Harness.Figure8.
-func Figure8(fillerFuncs int, scale uint64, w io.Writer) ([]Fig8Row, float64, error) {
-	return (&Harness{}).Figure8(fillerFuncs, scale, w)
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"redfat/internal/bench"
-	"redfat/internal/workload"
 )
 
 func TestGeoMean(t *testing.T) {
@@ -20,11 +19,21 @@ func TestGeoMean(t *testing.T) {
 	}
 }
 
-func TestTable1SingleBenchmark(t *testing.T) {
-	row, err := bench.Table1Bench(workload.ByName("libquantum"), 0.03)
+// table1Row runs Table 1 over a one-benchmark list on the serial harness.
+func table1Row(t *testing.T, name string, scale float64) *bench.Table1Row {
+	t.Helper()
+	rows, err := (&bench.Harness{}).Table1([]string{name}, scale, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(rows) != 1 || rows[0].Name != name {
+		t.Fatalf("Table1([%s]) rows = %+v", name, rows)
+	}
+	return rows[0]
+}
+
+func TestTable1SingleBenchmark(t *testing.T) {
+	row := table1Row(t, "libquantum", 0.03)
 	if !row.ChecksumOK {
 		t.Error("checksum mismatch")
 	}
@@ -58,10 +67,7 @@ func TestTable1SingleBenchmark(t *testing.T) {
 // recovered edges unlock dominated-check elimination inside the
 // dispatch loop) while the checksum stays intact.
 func TestTable1SwitchDense(t *testing.T) {
-	row, err := bench.Table1Bench(workload.ByName("interp"), 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row := table1Row(t, "interp", 0.05)
 	if !row.ChecksumOK {
 		t.Error("checksum mismatch")
 	}
@@ -72,7 +78,7 @@ func TestTable1SwitchDense(t *testing.T) {
 }
 
 func TestIndirectSweep(t *testing.T) {
-	rows, err := bench.IndirectSweep(nil, 0.02, nil)
+	rows, err := (&bench.Harness{}).IndirectSweep(nil, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,24 +110,16 @@ func TestIndirectSweep(t *testing.T) {
 }
 
 func TestDetectedErrors(t *testing.T) {
-	row, err := bench.Table1Bench(workload.ByName("calculix"), 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.DetectedErrors < 4 {
+	if row := table1Row(t, "calculix", 0.02); row.DetectedErrors < 4 {
 		t.Errorf("calculix detected errors = %d, want ≥4", row.DetectedErrors)
 	}
-	row, err = bench.Table1Bench(workload.ByName("wrf"), 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.DetectedErrors < 1 {
+	if row := table1Row(t, "wrf", 0.02); row.DetectedErrors < 1 {
 		t.Errorf("wrf detected errors = %d, want ≥1", row.DetectedErrors)
 	}
 }
 
 func TestFalsePositiveCountsMatchPaper(t *testing.T) {
-	rows, err := bench.FalsePositives(0.02, nil)
+	rows, err := (&bench.Harness{}).FalsePositives(0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +148,7 @@ func TestTable2(t *testing.T) {
 		t.Skip("480-case sweep")
 	}
 	var sb strings.Builder
-	rows, err := bench.Table2(&sb)
+	rows, err := (&bench.Harness{}).Table2(&sb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +181,7 @@ func TestTable2(t *testing.T) {
 }
 
 func TestFigure8(t *testing.T) {
-	rows, gm, err := bench.Figure8(512, 120, nil)
+	rows, gm, err := (&bench.Harness{}).Figure8(512, 120, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +199,7 @@ func TestFigure8(t *testing.T) {
 }
 
 func TestTactics(t *testing.T) {
-	rows, err := bench.Tactics(256, nil)
+	rows, err := (&bench.Harness{}).Tactics(256, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +217,7 @@ func TestTactics(t *testing.T) {
 }
 
 func TestBatchSweep(t *testing.T) {
-	rows, err := bench.BatchSweep("povray", 0.02, nil)
+	rows, err := (&bench.Harness{}).BatchSweep("povray", 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +231,7 @@ func TestBatchSweep(t *testing.T) {
 }
 
 func TestClobberSweep(t *testing.T) {
-	rows, err := bench.ClobberSweep("sjeng", 0.02, nil)
+	rows, err := (&bench.Harness{}).ClobberSweep("sjeng", 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +245,7 @@ func TestClobberSweep(t *testing.T) {
 
 func TestDataflowSweep(t *testing.T) {
 	names := []string{"libquantum", "povray", "calculix", "sjeng"}
-	rows, err := bench.DataflowSweep(names, 0.02, nil)
+	rows, err := (&bench.Harness{}).DataflowSweep(names, 0.02, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +273,7 @@ func TestFuzzBoostStudy(t *testing.T) {
 	if testing.Short() {
 		budgets = []int{1, 30} // the race-detector run: a smaller budget still shows the trend
 	}
-	rows, err := bench.FuzzBoostStudy("h264ref", budgets, nil)
+	rows, err := (&bench.Harness{}).FuzzBoostStudy("h264ref", budgets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +286,7 @@ func TestFuzzBoostStudy(t *testing.T) {
 }
 
 func TestTable2Extended(t *testing.T) {
-	rows, err := bench.Table2Extended(nil)
+	rows, err := (&bench.Harness{}).Table2Extended(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,7 @@ type Table1Summary struct {
 	Elim         float64 `json:"elim"`
 	Batch        float64 `json:"batch"`
 	Merge        float64 `json:"merge"`
+	Dom          float64 `json:"dom"`
 	Ind          float64 `json:"ind"`
 	NoSize       float64 `json:"nosize"`
 	NoReads      float64 `json:"noreads"`
@@ -31,6 +32,7 @@ func Summarize(rows []*Table1Row) Table1Summary {
 		Elim:         geo(rows, func(r *Table1Row) float64 { return r.Elim }),
 		Batch:        geo(rows, func(r *Table1Row) float64 { return r.Batch }),
 		Merge:        geo(rows, func(r *Table1Row) float64 { return r.Merge }),
+		Dom:          geo(rows, func(r *Table1Row) float64 { return r.Dom }),
 		Ind:          geo(rows, func(r *Table1Row) float64 { return r.Ind }),
 		NoSize:       geo(rows, func(r *Table1Row) float64 { return r.NoSize }),
 		NoReads:      geo(rows, func(r *Table1Row) float64 { return r.NoReads }),

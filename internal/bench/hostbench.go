@@ -403,7 +403,7 @@ func (r *HostBenchResult) measureTable1(parallel int, scale float64) error {
 		return testing.Benchmark(func(b *testing.B) {
 			h := &Harness{Parallel: width}
 			for i := 0; i < b.N; i++ {
-				if _, err := h.Table1(scale, nil); err != nil {
+				if _, err := h.Table1(nil, scale, nil); err != nil {
 					runErr = err
 					return
 				}

@@ -4,13 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"redfat/internal/mem"
+	"redfat/internal/rtlib"
 	"redfat/internal/telemetry"
+	"redfat/internal/workload"
 )
 
 // TestFanOutOrder checks that results come back in unit order regardless
@@ -186,84 +189,97 @@ func TestTLBParallelRace(t *testing.T) {
 	}
 }
 
-// TestFigure8ParallelIdentity checks that the rendered Figure 8 output is
-// byte-identical between the serial harness and a wide pool.
-func TestFigure8ParallelIdentity(t *testing.T) {
-	render := func(width int) (string, []Fig8Row, float64) {
-		var buf bytes.Buffer
-		rows, gm, err := (&Harness{Parallel: width}).Figure8(512, 300, &buf)
-		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
-		}
-		return buf.String(), rows, gm
-	}
-	serialOut, serialRows, serialGM := render(1)
-	parOut, parRows, parGM := render(8)
-	if serialOut != parOut {
-		t.Errorf("rendered output differs between serial and parallel:\n--- serial\n%s--- parallel\n%s",
-			serialOut, parOut)
-	}
-	if !reflect.DeepEqual(serialRows, parRows) || serialGM != parGM {
-		t.Errorf("rows/geomean differ: serial %v (%v), parallel %v (%v)",
-			serialRows, serialGM, parRows, parGM)
+// TestParallelIdentity checks that each experiment's rendered text, rows
+// and aggregate telemetry are identical between the serial harness and a
+// wide pool.
+func TestParallelIdentity(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		long bool // skipped in -short mode
+		run  func(h *Harness, w io.Writer) (any, error)
+	}{
+		{"figure8", false, func(h *Harness, w io.Writer) (any, error) {
+			rows, gm, err := h.Figure8(512, 300, w)
+			return []any{rows, gm}, err
+		}},
+		{"table2ext", false, func(h *Harness, w io.Writer) (any, error) {
+			return h.Table2Extended(w)
+		}},
+		{"table1", true, func(h *Harness, w io.Writer) (any, error) {
+			return h.Table1(nil, 0.02, w)
+		}},
+		{"batch", true, func(h *Harness, w io.Writer) (any, error) {
+			return h.BatchSweep("povray", 0.02, w)
+		}},
+		{"dataflow", true, func(h *Harness, w io.Writer) (any, error) {
+			return h.DataflowSweep(nil, 0.02, w)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.long && testing.Short() {
+				t.Skip("full-suite comparison skipped in -short mode")
+			}
+			render := func(width int) (string, any, *telemetry.Snapshot) {
+				var buf bytes.Buffer
+				h := &Harness{Parallel: width, Metrics: telemetry.New()}
+				rows, err := tc.run(h, &buf)
+				if err != nil {
+					t.Fatalf("width %d: %v", width, err)
+				}
+				tel := h.Metrics.Snapshot()
+				// The superblock compile-time histogram is wall-clock host
+				// timing; its bucket placement legitimately differs between
+				// two executions. Every other metric is deterministic.
+				delete(tel.Histograms, "vm.jit.compile.ns")
+				return buf.String(), rows, tel
+			}
+			serialOut, serialRows, serialTel := render(1)
+			parOut, parRows, parTel := render(8)
+			if serialOut != parOut {
+				t.Errorf("rendered output differs between serial and parallel:\n--- serial\n%s--- parallel\n%s",
+					serialOut, parOut)
+			}
+			if !reflect.DeepEqual(serialRows, parRows) {
+				t.Errorf("rows differ: serial %v, parallel %v", serialRows, parRows)
+			}
+			if !reflect.DeepEqual(serialTel, parTel) {
+				t.Errorf("aggregate telemetry differs between serial and parallel")
+			}
+			if serialTel.Counters["vm.retired.total"] == 0 {
+				t.Errorf("aggregate telemetry has no retired instructions")
+			}
+		})
 	}
 }
 
-// TestTable2ExtendedParallelIdentity checks serial/parallel identity on
-// the temporal-error suites (per-case fan-out).
-func TestTable2ExtendedParallelIdentity(t *testing.T) {
-	render := func(width int) (string, []Table2Row) {
-		var buf bytes.Buffer
-		rows, err := (&Harness{Parallel: width}).Table2Extended(&buf)
+// TestSweepTelemetryKeepsEveryBaseline checks that an ablation's
+// baselines run in their own unit registries: the aggregate vm.cycles
+// gauge sums every baseline and every cell, instead of keeping only the
+// last baseline a shared registry would have overwritten.
+func TestSweepTelemetryKeepsEveryBaseline(t *testing.T) {
+	names := []string{"bzip2", "mcf"}
+	h := &Harness{Metrics: telemetry.New()}
+	rows, err := h.DataflowSweep(names, 0.02, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want uint64
+	for _, name := range names {
+		bm := scaled(workload.ByName(name), 0.02)
+		bin, err := bm.Build()
 		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
+			t.Fatal(err)
 		}
-		return buf.String(), rows
-	}
-	serialOut, serialRows := render(1)
-	parOut, parRows := render(8)
-	if serialOut != parOut {
-		t.Errorf("rendered output differs:\n--- serial\n%s--- parallel\n%s", serialOut, parOut)
-	}
-	if !reflect.DeepEqual(serialRows, parRows) {
-		t.Errorf("rows differ: serial %v, parallel %v", serialRows, parRows)
-	}
-}
-
-// TestTable1ParallelIdentity checks that the full Table 1 pipeline —
-// rendered bytes, rows, and aggregate telemetry — is identical between
-// the serial harness and a wide pool.
-func TestTable1ParallelIdentity(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Table 1 comparison skipped in -short mode")
-	}
-	render := func(width int) (string, []*Table1Row, *telemetry.Snapshot) {
-		var buf bytes.Buffer
-		h := &Harness{Parallel: width, Metrics: telemetry.New()}
-		rows, err := h.Table1(0.02, &buf)
+		v, err := rtlib.RunBaseline(bin, rtlib.RunConfig{Input: bm.RefInput()})
 		if err != nil {
-			t.Fatalf("width %d: %v", width, err)
+			t.Fatal(err)
 		}
-		return buf.String(), rows, h.Metrics.Snapshot()
+		want += v.Cycles
 	}
-	serialOut, serialRows, serialTel := render(1)
-	parOut, parRows, parTel := render(8)
-	// The superblock compile-time histogram is wall-clock host timing;
-	// its bucket placement legitimately differs between two executions.
-	// Every other metric is deterministic and must match exactly.
-	delete(serialTel.Histograms, "vm.jit.compile.ns")
-	delete(parTel.Histograms, "vm.jit.compile.ns")
-	if serialOut != parOut {
-		t.Errorf("rendered table differs between serial and parallel:\n--- serial\n%s--- parallel\n%s",
-			serialOut, parOut)
+	for _, r := range rows {
+		want += r.TotalCycles
 	}
-	if !reflect.DeepEqual(serialRows, parRows) {
-		t.Errorf("rows differ between serial and parallel")
-	}
-	if !reflect.DeepEqual(serialTel, parTel) {
-		t.Errorf("aggregate telemetry differs between serial and parallel")
-	}
-	if serialTel.Counters["vm.retired.total"] == 0 {
-		t.Errorf("aggregate telemetry has no retired instructions")
+	if got := h.Metrics.GaugeValue("vm.cycles"); got != want {
+		t.Errorf("aggregate vm.cycles gauge = %d, want baselines + cells = %d", got, want)
 	}
 }

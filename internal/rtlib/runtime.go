@@ -377,15 +377,22 @@ func (rt *Runtime) describe(c *Check, base, size, lb uint64) string {
 
 // Coverage returns the dynamic full-check coverage: the fraction of
 // executed sites whose mode is ModeFull (paper Table 1, "coverage").
-func (rt *Runtime) Coverage() float64 {
+func (rt *Runtime) Coverage() float64 { return Coverage(rt) }
+
+// Coverage returns the dynamic full-check coverage of one run over all
+// of its instrumented modules, weighting each executed site by the
+// operands it covers.
+func Coverage(rts ...*Runtime) float64 {
 	var full, total int
-	for i := range rt.Checks {
-		if rt.Stats[i].Execs == 0 {
-			continue
-		}
-		total += int(rt.Checks[i].Merged)
-		if rt.Checks[i].Mode == ModeFull {
-			full += int(rt.Checks[i].Merged)
+	for _, rt := range rts {
+		for i := range rt.Checks {
+			if rt.Stats[i].Execs == 0 {
+				continue
+			}
+			total += int(rt.Checks[i].Merged)
+			if rt.Checks[i].Mode == ModeFull {
+				full += int(rt.Checks[i].Merged)
+			}
 		}
 	}
 	if total == 0 {

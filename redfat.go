@@ -348,6 +348,31 @@ func Run(bin *Binary, opt RunOptions) (*Result, error) {
 	default:
 		v, err = rtlib.RunBaseline(bin, opt)
 	}
+	var rts []*rtlib.Runtime
+	if rt != nil {
+		rts = []*rtlib.Runtime{rt}
+	}
+	return newResult(v, rts, opt, []*Binary{bin}), err
+}
+
+// RunLinked executes a dynamically linked program: the main executable
+// plus shared-object dependencies (paper §7.4). Each module may be
+// hardened independently; only instrumented modules are protected.
+// Libraries must be built (or rebased) at non-overlapping addresses
+// before hardening. Memcheck mode is not supported for linked programs.
+func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
+	if opt.Memcheck {
+		return nil, fmt.Errorf("redfat: Memcheck does not support linked programs")
+	}
+	v, rts, err := rtlib.RunLinked(main, libs, opt)
+	return newResult(v, rts, opt, append([]*Binary{main}, libs...)), err
+}
+
+// newResult builds the Result of a finished run from its VM (nil when
+// setup failed) and the runtimes of its instrumented modules, and
+// publishes their per-site statistics to opt.Metrics. bins are the
+// run's modules, symbolized by forensic reports.
+func newResult(v *vm.VM, rts []*rtlib.Runtime, opt RunOptions, bins []*Binary) *Result {
 	res := &Result{}
 	if v != nil {
 		res.ExitCode = v.ExitCode
@@ -357,11 +382,11 @@ func Run(bin *Binary, opt RunOptions) (*Result, error) {
 		res.Errors = v.Errors
 		res.Traces = v.TraceStats()
 		if opt.Forensics {
-			res.Reports = buildReports(v, bin)
+			res.Reports = buildReports(v, bins...)
 		}
 	}
-	if rt != nil {
-		res.Coverage = rt.Coverage()
+	res.Coverage = rtlib.Coverage(rts...)
+	for _, rt := range rts {
 		rt.PublishSiteStats(opt.Metrics)
 		for i := range rt.Checks {
 			c := &rt.Checks[i]
@@ -375,52 +400,11 @@ func Run(bin *Binary, opt RunOptions) (*Result, error) {
 				RedzoneFails: rt.Stats[i].RedzoneFails,
 			})
 		}
-		sort.Slice(res.Checks, func(i, j int) bool {
-			return res.Checks[i].Execs > res.Checks[j].Execs
-		})
 	}
-	return res, err
-}
-
-// RunLinked executes a dynamically linked program: the main executable
-// plus shared-object dependencies (paper §7.4). Each module may be
-// hardened independently; only instrumented modules are protected.
-// Libraries must be built (or rebased) at non-overlapping addresses
-// before hardening. Memcheck mode is not supported for linked programs.
-func RunLinked(main *Binary, libs []*Binary, opt RunOptions) (*Result, error) {
-	if opt.Memcheck {
-		return nil, fmt.Errorf("redfat: Memcheck does not support linked programs")
-	}
-	v, rts, err := rtlib.RunLinked(main, libs, opt)
-	res := &Result{}
-	if v != nil {
-		res.ExitCode = v.ExitCode
-		res.Cycles = v.Cycles
-		res.Insts = v.Insts
-		res.Output = v.Output
-		res.Errors = v.Errors
-		res.Traces = v.TraceStats()
-		if opt.Forensics {
-			res.Reports = buildReports(v, append([]*Binary{main}, libs...)...)
-		}
-	}
-	var full, total int
-	for _, rt := range rts {
-		rt.PublishSiteStats(opt.Metrics)
-		for i := range rt.Checks {
-			if rt.Stats[i].Execs == 0 {
-				continue
-			}
-			total += int(rt.Checks[i].Merged)
-			if rt.Checks[i].Mode.String() == "full" {
-				full += int(rt.Checks[i].Merged)
-			}
-		}
-	}
-	if total > 0 {
-		res.Coverage = float64(full) / float64(total)
-	}
-	return res, err
+	sort.Slice(res.Checks, func(i, j int) bool {
+		return res.Checks[i].Execs > res.Checks[j].Execs
+	})
+	return res
 }
 
 // buildReports resolves a finished VM's trapped errors into forensic

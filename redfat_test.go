@@ -2,6 +2,7 @@ package redfat_test
 
 import (
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"redfat"
@@ -173,5 +174,36 @@ func TestRunLinkedAPI(t *testing.T) {
 	}
 	if _, err := redfat.RunLinked(hardMain, nil, redfat.RunOptions{Memcheck: true}); err == nil {
 		t.Error("Memcheck linked run accepted")
+	}
+}
+
+// TestRunLinkedMatchesRun pins the one result builder: a linked run with
+// no libraries reports exactly what Run reports for the same hardened
+// binary, per-site check statistics and coverage included.
+func TestRunLinkedMatchesRun(t *testing.T) {
+	bin, err := redfat.Assemble(vulnerableSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, input := range []uint64{2, 40} { // benign, then an overflow
+		opt := redfat.RunOptions{Input: []uint64{input}, Hardened: true}
+		want, err := redfat.Run(hard, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := redfat.RunLinked(hard, nil, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Checks) == 0 {
+			t.Fatalf("input %d: Run reported no check statistics", input)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("input %d: RunLinked result differs from Run:\n got %+v\nwant %+v", input, got, want)
+		}
 	}
 }
