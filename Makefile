@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-host bench-history fuzz-smoke loc clean
+.PHONY: check fmt vet rfvet build test race perf-smoke trace-smoke replay-smoke obs-smoke edge-audit-smoke bench-smoke bench-history fuzz-smoke loc clean
 
 # check is the tier-1 gate: formatting, static analysis (go vet plus the
 # repo-specific rfvet rules), build, tests (which include the TLB perf
@@ -85,12 +85,6 @@ edge-audit-smoke:
 bench-smoke:
 	$(GO) run ./cmd/rfbench -table1 -scale 0.02 -json results/bench.json
 
-# bench-host measures host wall-clock performance (guest-memory TLB, the
-# superblock tier, the libc span twins, indirect-flow recovery,
-# worker-pool scaling) and records it in results/BENCH_host.json.
-bench-host:
-	$(GO) run ./cmd/rfbench -hostbench -progress=false
-
 # bench-history appends the current revision's down-scaled Table 1 +
 # detection matrix to the trajectory series in results/history/ (and
 # captures the same document as a verifiable runpack). Compare two
@@ -101,13 +95,16 @@ bench-history:
 
 # fuzz-smoke runs each native fuzz target for a short fixed time: the ISA
 # decoder (FuzzDecodeEncode), guest memory against its TLB-less reference
-# (FuzzMemOps) and the strict .rf.config decoder (FuzzDecodeConfig). Not
-# part of check, where `go test` already replays the seed corpora under
-# testdata/fuzz/.
+# (FuzzMemOps), the strict .rf.config decoder (FuzzDecodeConfig) and the
+# .rf.patch/.rf.origins and .rf.jt section-table decoders
+# (FuzzDecodePatchTable, FuzzDecodeJumpTables). Not part of check, where
+# `go test` already replays the seed corpora under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEncode$$' -fuzztime 10s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz '^FuzzMemOps$$' -fuzztime 10s ./internal/mem/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime 10s ./internal/redfat/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodePatchTable$$' -fuzztime 10s ./internal/relf/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJumpTables$$' -fuzztime 10s ./internal/relf/
 
 # loc prints the root module's Go line counts, non-test and test, leaving
 # out the e2ebench module and its build directory: the figure of merit
@@ -117,5 +114,8 @@ loc:
 	@echo "non-test: $$($(GOFILES) -not -name '*_test.go' -exec cat {} + | wc -l)"
 	@echo "test:     $$($(GOFILES) -name '*_test.go' -exec cat {} + | wc -l)"
 
+# clean removes generated, untracked outputs only: the bench-smoke JSON,
+# the -guestprof folded stacks and the e2ebench build directory. The
+# committed tables, results/history/ and results/runpack-bench/ stay.
 clean:
-	rm -rf results
+	rm -rf results/bench.json results/guestprof .bench_build

@@ -39,14 +39,14 @@ func EncodeJumpTables(tables []JumpTable) []byte {
 // DecodeJumpTables parses section data produced by EncodeJumpTables.
 func DecodeJumpTables(data []byte) ([]JumpTable, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("relf: jump-table section too short")
+		return nil, &tableError{"jump-table section", "too short"}
 	}
 	if data[0] != jtVersion {
-		return nil, fmt.Errorf("relf: jump-table section version %d (want %d)", data[0], jtVersion)
+		return nil, &tableError{"jump-table section", fmt.Sprintf("version %d (want %d)", data[0], jtVersion)}
 	}
 	n := binary.LittleEndian.Uint32(data[4:])
-	if uint64(len(data)) < 8+12*uint64(n) {
-		return nil, fmt.Errorf("relf: jump-table section truncated (%d records)", n)
+	if uint64(n) > uint64(len(data)-8)/12 {
+		return nil, &tableError{"jump-table section", fmt.Sprintf("truncated (%d records)", n)}
 	}
 	out := make([]JumpTable, n)
 	for i := uint32(0); i < n; i++ {

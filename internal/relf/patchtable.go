@@ -41,14 +41,25 @@ func EncodePatchTable(entries map[uint64]uint64) []byte {
 	return buf
 }
 
+// tableError reports metadata-table section data (patch table, origin
+// table, jump tables) that does not decode: too short, an unknown
+// version, or a record count the data cannot hold.
+type tableError struct {
+	table, reason string
+}
+
+func (e *tableError) Error() string { return "relf: " + e.table + " " + e.reason }
+
 // DecodePatchTable parses section data produced by EncodePatchTable.
 func DecodePatchTable(data []byte) (map[uint64]uint64, error) {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("relf: patch table too short")
+		return nil, &tableError{"patch table", "too short"}
 	}
+	// Compare against the record capacity, not 8+16*n: the product wraps
+	// for n >= 2^60 and would let a tiny section index past its end.
 	n := binary.LittleEndian.Uint64(data)
-	if uint64(len(data)) < 8+16*n {
-		return nil, fmt.Errorf("relf: patch table truncated (%d entries)", n)
+	if n > uint64(len(data)-8)/16 {
+		return nil, &tableError{"patch table", fmt.Sprintf("truncated (%d entries)", n)}
 	}
 	m := make(map[uint64]uint64, n)
 	for i := uint64(0); i < n; i++ {

@@ -35,8 +35,8 @@ func twinKernel(name string, emit func(*emitter)) *Benchmark {
 
 // LibcTwins returns the intrinsic/loop twin pairs. They are deliberately
 // NOT part of All(): Table 1's benchmark set, planted counts and rows
-// stay exactly as seeded; the twins feed the libc_span hostbench section
-// and the perf-smoke guard.
+// stay exactly as seeded; the twins feed the TestPerfSmokeLibcSpan
+// guard (make perf-smoke).
 func LibcTwins() []Twin {
 	return []Twin{
 		{

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"redfat"
+	"redfat/internal/relf"
 )
 
 const vulnerableSrc = `
@@ -73,6 +74,85 @@ func TestBinaryFileRoundTrip(t *testing.T) {
 	}
 	if _, err := redfat.LoadBinary(filepath.Join(t.TempDir(), "missing")); err == nil {
 		t.Error("loading missing file succeeded")
+	}
+}
+
+// loadWithSection saves bin plus a metadata section name=data to a file
+// and loads it back, as a user-supplied binary would arrive.
+func loadWithSection(t *testing.T, bin *redfat.Binary, name string, data []byte) *redfat.Binary {
+	t.Helper()
+	bin = bin.Clone()
+	if s := bin.Section(name); s != nil {
+		s.Data = data
+	} else {
+		bin.AddSection(&relf.Section{Name: name, Kind: relf.SecMeta, Data: data})
+	}
+	path := filepath.Join(t.TempDir(), "crafted.relf")
+	if err := redfat.SaveBinary(bin, path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := redfat.LoadBinary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestRunRejectsCorruptPatchTable: a loaded binary whose .rf.patch
+// section claims 0x3000000000000000 entries in 8 bytes fails to run with
+// an error. The decoder's bounds check 8+16*n used to wrap to 8, so
+// module load indexed past the section and panicked.
+func TestRunRejectsCorruptPatchTable(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panic on a corrupt %s section: %v", relf.PatchTableSection, r)
+		}
+	}()
+	bin, err := redfat.Assemble(vulnerableSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	crafted := []byte{0, 0, 0, 0, 0, 0, 0, 0x30}
+	for _, c := range []struct {
+		bin *redfat.Binary
+		opt redfat.RunOptions
+	}{
+		{bin, redfat.RunOptions{Input: []uint64{2}}},
+		{hard, redfat.RunOptions{Input: []uint64{2}, Hardened: true}},
+	} {
+		got := loadWithSection(t, c.bin, relf.PatchTableSection, crafted)
+		if _, err := redfat.Run(got, c.opt); err == nil {
+			t.Errorf("Run(Hardened=%v) accepted a corrupt %s section", c.opt.Hardened, relf.PatchTableSection)
+		}
+	}
+}
+
+// TestCorruptJumpTablesIgnored: a .rf.jt section whose record count runs
+// past its data is a decode error, which hardening treats as "no declared
+// tables": the binary still hardens and runs to the same exit, without a
+// panic.
+func TestCorruptJumpTablesIgnored(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("panic on a corrupt %s section: %v", relf.JumpTableSection, r)
+		}
+	}()
+	bin, err := redfat.Assemble(vulnerableSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := loadWithSection(t, bin, relf.JumpTableSection, []byte{1, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	hard, _, err := redfat.Harden(got, redfat.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := redfat.Run(hard, redfat.RunOptions{Input: []uint64{2}, Hardened: true})
+	if err != nil || res.ExitCode != 0 || len(res.Errors) != 0 {
+		t.Fatalf("hardened run: %v %+v", err, res)
 	}
 }
 
