@@ -95,9 +95,10 @@ bench-history:
 
 # fuzz-smoke runs each native fuzz target for a short fixed time: the ISA
 # decoder (FuzzDecodeEncode), guest memory against its TLB-less reference
-# (FuzzMemOps), the strict .rf.config decoder (FuzzDecodeConfig) and the
+# (FuzzMemOps), the strict .rf.config decoder (FuzzDecodeConfig), the
 # .rf.patch/.rf.origins and .rf.jt section-table decoders
-# (FuzzDecodePatchTable, FuzzDecodeJumpTables). Not part of check, where
+# (FuzzDecodePatchTable, FuzzDecodeJumpTables) and the RELF image codec
+# (FuzzUnmarshal). Not part of check, where
 # `go test` already replays the seed corpora under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEncode$$' -fuzztime 10s ./internal/isa/
@@ -105,6 +106,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeConfig$$' -fuzztime 10s ./internal/redfat/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePatchTable$$' -fuzztime 10s ./internal/relf/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJumpTables$$' -fuzztime 10s ./internal/relf/
+	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/relf/
 
 # loc prints the root module's Go line counts, non-test and test, leaving
 # out the e2ebench module and its build directory: the figure of merit

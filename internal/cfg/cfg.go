@@ -15,184 +15,60 @@ package cfg
 import (
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 
 	"redfat/internal/isa"
 	"redfat/internal/relf"
 )
 
-// RegSet is a bitmask over the 16 general-purpose registers.
-type RegSet uint16
+// The per-instruction effects (registers and flags read and written,
+// memory stores) are defined once, by isa.Inst. The queries below are
+// the whole-program view on top of them: an unknown callee (CALL,
+// RTCALL) reads and writes every register and may write the flags, and a
+// patch target (TRAP) may observe every flag.
 
-// Add returns the set with r added (no-op for pseudo registers).
-func (s RegSet) Add(r isa.Reg) RegSet {
-	if r < isa.NumRegs {
-		return s | 1<<r
+// RegsRead returns the registers read by in, saturated for unknown
+// callees.
+func RegsRead(in *isa.Inst) isa.RegSet {
+	if in.Op == isa.CALL || in.Op == isa.RTCALL {
+		return isa.AllRegs
 	}
-	return s
+	return in.RegsRead()
 }
 
-// Has reports whether r is in the set.
-func (s RegSet) Has(r isa.Reg) bool {
-	return r < isa.NumRegs && s&(1<<r) != 0
-}
-
-// Union returns the union of two sets.
-func (s RegSet) Union(o RegSet) RegSet { return s | o }
-
-// Intersects reports whether the sets share a register.
-func (s RegSet) Intersects(o RegSet) bool { return s&o != 0 }
-
-// Count returns the number of registers in the set.
-func (s RegSet) Count() int { return bits.OnesCount16(uint16(s)) }
-
-// AllRegs is the set of every general-purpose register.
-const AllRegs RegSet = 0xFFFF
-
-// clearRSP removes the stack pointer, which is never reported dead.
-func (s RegSet) clearRSP() RegSet { return s &^ RegSet(0).Add(isa.RSP) }
-
-// memAddrRegs returns the registers a memory operand's address depends on.
-func memAddrRegs(m isa.Mem) RegSet {
-	var s RegSet
-	s = s.Add(m.Base) // Add ignores RIP/RegNone
-	s = s.Add(m.Index)
-	return s
-}
-
-// RegsRead returns the registers read by in (including address registers
-// of memory operands and implicit reads).
-func RegsRead(in *isa.Inst) RegSet {
-	var s RegSet
-	if in.HasMem() {
-		s = s.Union(memAddrRegs(in.Mem))
+// RegsWritten returns the registers written by in, saturated for unknown
+// callees.
+func RegsWritten(in *isa.Inst) isa.RegSet {
+	if in.Op == isa.CALL || in.Op == isa.RTCALL {
+		return isa.AllRegs
 	}
+	return in.RegsWritten()
+}
+
+// FlagsRead returns the flags in may observe, saturated for unknown
+// callees and patch targets.
+func FlagsRead(in *isa.Inst) isa.FlagSet {
 	switch in.Op {
-	case isa.RET:
-		return s.Add(isa.RSP)
-	case isa.PUSHF, isa.POPF:
-		return s.Add(isa.RSP)
-	case isa.CQO:
-		return s.Add(isa.RAX)
-	case isa.UDIV, isa.IDIV:
-		return s.Add(isa.RAX).Add(in.Reg)
-	case isa.CALL, isa.RTCALL:
-		// Unknown callee: assume it reads everything (conservative).
-		return AllRegs
+	case isa.CALL, isa.RTCALL, isa.TRAP:
+		return isa.AllFlags
 	}
-	switch in.Form {
-	case isa.FRR:
-		s = s.Add(in.Reg2)
-		if in.Op != isa.MOV {
-			s = s.Add(in.Reg) // ALU dst is also a source
-		}
-		if in.Op == isa.SHL || in.Op == isa.SHR || in.Op == isa.SAR {
-			s = s.Add(isa.RCX).Add(in.Reg)
-		}
-		if in.Op == isa.XCHG {
-			s = s.Add(in.Reg)
-		}
-	case isa.FRI:
-		if in.Op != isa.MOV && in.Op != isa.MOVABS {
-			s = s.Add(in.Reg)
-		}
-	case isa.FRM:
-		if in.Op != isa.MOV && in.Op != isa.MOVZX && in.Op != isa.MOVSX &&
-			in.Op != isa.LEA {
-			s = s.Add(in.Reg) // ALU-from-memory reads the register too
-		}
-	case isa.FMR:
-		s = s.Add(in.Reg)
-	case isa.FR:
-		switch in.Op {
-		case isa.PUSH:
-			s = s.Add(in.Reg).Add(isa.RSP)
-		case isa.POP:
-			s = s.Add(isa.RSP)
-		case isa.INC, isa.DEC, isa.NEG, isa.NOT, isa.JMP:
-			s = s.Add(in.Reg)
-		}
-	case isa.FM:
-		if in.Op == isa.PUSH || in.Op == isa.POP {
-			s = s.Add(isa.RSP)
-		}
-	}
-	return s
+	return in.FlagsRead()
 }
 
-// RegsWritten returns the registers written by in.
-func RegsWritten(in *isa.Inst) RegSet {
-	var s RegSet
-	switch in.Op {
-	case isa.RET:
-		return s.Add(isa.RSP)
-	case isa.PUSHF, isa.POPF:
-		return s.Add(isa.RSP)
-	case isa.CQO:
-		return s.Add(isa.RDX)
-	case isa.UDIV, isa.IDIV:
-		return s.Add(isa.RAX).Add(isa.RDX)
-	case isa.CALL, isa.RTCALL:
-		// Unknown callee: assume it may write everything.
-		return AllRegs
-	}
-	switch in.Form {
-	case isa.FRR:
-		if in.Op == isa.CMP || in.Op == isa.TEST {
-			return s
-		}
-		s = s.Add(in.Reg)
-		if in.Op == isa.XCHG {
-			s = s.Add(in.Reg2)
-		}
-	case isa.FRI:
-		if in.Op == isa.CMP || in.Op == isa.TEST {
-			return s
-		}
-		s = s.Add(in.Reg)
-	case isa.FRM:
-		if in.Op == isa.CMP || in.Op == isa.TEST {
-			return s
-		}
-		s = s.Add(in.Reg)
-	case isa.FR:
-		switch in.Op {
-		case isa.PUSH:
-			s = s.Add(isa.RSP)
-		case isa.POP:
-			s = s.Add(in.Reg).Add(isa.RSP)
-		case isa.INC, isa.DEC, isa.NEG, isa.NOT, isa.SHL, isa.SHR, isa.SAR:
-			s = s.Add(in.Reg)
-		}
-	case isa.FM:
-		if in.Op == isa.PUSH || in.Op == isa.POP {
-			s = s.Add(isa.RSP)
-		}
-	}
-	return s
-}
-
-// WritesFlags reports whether in modifies the flags register.
+// WritesFlags reports whether in may modify the flags register. It is
+// the coarse opcode-level answer: unknown callees, and every shift
+// whatever its count, so the searches for the nearest flag writer above
+// a jump-table guard stop at a zero-count shift rather than see past it.
 func WritesFlags(in *isa.Inst) bool {
 	switch in.Op {
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.CMP, isa.TEST,
-		isa.IMUL, isa.INC, isa.DEC, isa.NEG, isa.SHL, isa.SHR, isa.SAR,
-		isa.POPF, isa.CALL, isa.RTCALL:
+	case isa.SHL, isa.SHR, isa.SAR, isa.CALL, isa.RTCALL:
 		return true
 	}
-	return false
+	return in.FlagsMayWrite() != 0
 }
 
-// ReadsFlags reports whether in may observe the flags register. CALL,
-// RTCALL and TRAP are conservatively treated as readers (unknown callee
-// or patch target), matching the per-flag FlagsRead saturation.
-func ReadsFlags(in *isa.Inst) bool {
-	switch in.Op {
-	case isa.PUSHF, isa.CALL, isa.RTCALL, isa.TRAP:
-		return true
-	}
-	return in.Op.IsCondJump()
-}
+// noRSP is every register except the stack pointer, which is never
+// reported dead.
+const noRSP = isa.AllRegs &^ (1 << isa.RSP)
 
 // DecodedInst pairs an instruction with its address.
 type DecodedInst struct {
@@ -350,8 +226,8 @@ func (p *Program) BlockEnd(i int) int {
 // continuation within the current basic block. Conservative: a register
 // whose fate is unknown when the block ends is treated as live. RSP is
 // never reported dead.
-func (p *Program) DeadRegsAt(i int) RegSet {
-	var dead, read RegSet
+func (p *Program) DeadRegsAt(i int) isa.RegSet {
+	var dead, read isa.RegSet
 	end := p.BlockEnd(i)
 	for j := i; j < end; j++ {
 		in := &p.Insts[j].Inst
@@ -363,25 +239,24 @@ func (p *Program) DeadRegsAt(i int) RegSet {
 		read = read.Union(r)
 		dead = dead.Union(w &^ read)
 	}
-	return dead.clearRSP()
+	return dead & noRSP
 }
 
 // FlagsDeadAt reports whether the flags register is provably dead before
 // instruction i (every flag overwritten before being observed within the
 // block). The scan tracks the four flags independently through the
-// must-kill set FlagsKilled: treating every flag-writing instruction as
-// a whole-register kill would be unsound — INC/DEC preserve CF and a
-// shift whose count may be zero preserves everything.
+// must-kill set isa.Inst.FlagsKilled (see isa.FlagSet for why a
+// whole-register kill would be unsound).
 func (p *Program) FlagsDeadAt(i int) bool {
-	var killed FlagSet
+	var killed isa.FlagSet
 	end := p.BlockEnd(i)
 	for j := i; j < end; j++ {
 		in := &p.Insts[j].Inst
 		if FlagsRead(in)&^killed != 0 {
 			return false // some not-yet-killed flag is observed
 		}
-		killed |= FlagsKilled(in)
-		if killed == AllFlags {
+		killed |= in.FlagsKilled()
+		if killed == isa.AllFlags {
 			return true
 		}
 	}
@@ -404,7 +279,7 @@ type Batch struct {
 func (p *Program) Batches(want func(i int) bool, maxBatch int) []Batch {
 	var out []Batch
 	var cur Batch
-	var written RegSet
+	var written isa.RegSet
 	flush := func() {
 		if len(cur.Members) > 0 {
 			out = append(out, cur)
@@ -419,7 +294,7 @@ func (p *Program) Batches(want func(i int) bool, maxBatch int) []Batch {
 			flush()
 		}
 		if want(i) && in.IsMemAccess() {
-			regs := memAddrRegs(in.Mem)
+			regs := in.Mem.Regs()
 			if regs.Intersects(written) || (maxBatch > 0 && len(cur.Members) >= maxBatch) {
 				flush()
 			}

@@ -139,7 +139,7 @@ func TestRegsReadWritten(t *testing.T) {
 	}
 	// Calls are conservative: everything.
 	call := isa.Inst{Op: isa.RTCALL, Form: isa.FI}
-	if cfg.RegsRead(&call) != cfg.AllRegs || cfg.RegsWritten(&call) != cfg.AllRegs {
+	if cfg.RegsRead(&call) != isa.AllRegs || cfg.RegsWritten(&call) != isa.AllRegs {
 		t.Error("RTCALL not treated conservatively")
 	}
 }
@@ -276,26 +276,5 @@ func TestDisassembleErrors(t *testing.T) {
 		Addr: 0x1000, Size: 2, Data: []byte{0x00, 0x00}, Exec: true})
 	if _, err := cfg.Disassemble(bad); err == nil {
 		t.Error("undecodable text accepted")
-	}
-}
-
-func TestRegSet(t *testing.T) {
-	var s cfg.RegSet
-	s = s.Add(isa.RAX).Add(isa.R15)
-	if !s.Has(isa.RAX) || !s.Has(isa.R15) || s.Has(isa.RBX) {
-		t.Error("RegSet membership broken")
-	}
-	if s.Count() != 2 {
-		t.Errorf("Count = %d", s.Count())
-	}
-	if s.Add(isa.RegNone) != s || s.Add(isa.RIP) != s {
-		t.Error("pseudo registers changed the set")
-	}
-	o := cfg.RegSet(0).Add(isa.RBX)
-	if s.Intersects(o) {
-		t.Error("disjoint sets intersect")
-	}
-	if !s.Union(o).Has(isa.RBX) {
-		t.Error("union missing member")
 	}
 }

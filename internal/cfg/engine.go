@@ -1,5 +1,7 @@
 package cfg
 
+import "redfat/internal/isa"
+
 // Dataflow bundles the whole-program analyses the rewriter and the
 // translation validator share: the explicit CFG, the worklist liveness
 // solution, and the dominator tree. Construction is a single pass over
@@ -24,7 +26,7 @@ func NewDataflowOpts(p *Program, opts GraphOptions) *Dataflow {
 // DeadRegsAt returns the registers provably dead before instruction i
 // under the whole-CFG liveness solution (never less precise than the
 // block-local Program.DeadRegsAt oracle).
-func (d *Dataflow) DeadRegsAt(i int) RegSet { return d.Live.DeadRegsAt(i) }
+func (d *Dataflow) DeadRegsAt(i int) isa.RegSet { return d.Live.DeadRegsAt(i) }
 
 // FlagsDeadAt reports whether all flags are provably dead before
 // instruction i under the whole-CFG liveness solution.

@@ -1,23 +1,25 @@
 package cfg
 
+import "redfat/internal/isa"
+
 // Liveness is the whole-CFG backward register+flags liveness analysis.
-// The lattice is (RegSet, FlagSet) ordered by inclusion; the transfer
-// function for one instruction is
+// The lattice is (isa.RegSet, isa.FlagSet) ordered by inclusion; the
+// transfer function for one instruction is
 //
 //	live_in  = (live_out  \ RegsWritten) ∪ RegsRead
 //	flags_in = (flags_out \ FlagsKilled) ∪ FlagsRead
 //
 // and the block-level equations are solved with a worklist to a fixed
 // point. Unknown block boundaries (indirect jumps, returns, traps,
-// text end) use ⊤ = (AllRegs, AllFlags) as live-out, so the analysis is
+// text end) use ⊤ = (isa.AllRegs, isa.AllFlags) as live-out, so the analysis is
 // never less conservative than reality. RegsWritten over-approximates
 // writes only for CALL/RTCALL, whose RegsRead is AllRegs — the gen set
 // saturates before the kill can remove anything — and for shifts, which
 // read their own operand; so using it as the kill set is sound.
 type Liveness struct {
 	g        *Graph
-	liveOut  []RegSet
-	flagsOut []FlagSet
+	liveOut  []isa.RegSet
+	flagsOut []isa.FlagSet
 }
 
 // NewLiveness solves the liveness equations over g.
@@ -25,17 +27,17 @@ func NewLiveness(g *Graph) *Liveness {
 	n := len(g.Blocks)
 	lv := &Liveness{
 		g:        g,
-		liveOut:  make([]RegSet, n),
-		flagsOut: make([]FlagSet, n),
+		liveOut:  make([]isa.RegSet, n),
+		flagsOut: make([]isa.FlagSet, n),
 	}
-	liveIn := make([]RegSet, n)
-	flagsIn := make([]FlagSet, n)
+	liveIn := make([]isa.RegSet, n)
+	flagsIn := make([]isa.FlagSet, n)
 
 	// Seed: worst-case boundary for unknown successors.
 	for b := range g.Blocks {
 		if g.Blocks[b].Unknown || len(g.Blocks[b].Succs) == 0 {
-			lv.liveOut[b] = AllRegs
-			lv.flagsOut[b] = AllFlags
+			lv.liveOut[b] = isa.AllRegs
+			lv.flagsOut[b] = isa.AllFlags
 		}
 	}
 
@@ -59,7 +61,7 @@ func NewLiveness(g *Graph) *Liveness {
 		lv.liveOut[b] = out
 		lv.flagsOut[b] = fout
 
-		in, fin := lv.transferBlock(b, out, fout)
+		in, fin := lv.transfer(b, g.Blocks[b].Start, out, fout)
 		if in != liveIn[b] || fin != flagsIn[b] {
 			liveIn[b] = in
 			flagsIn[b] = fin
@@ -74,32 +76,24 @@ func NewLiveness(g *Graph) *Liveness {
 	return lv
 }
 
-// transferBlock applies the backward transfer across all instructions
+// transfer applies the backward transfer across instructions from..End-1
 // of block b, given the block's live-out state.
-func (lv *Liveness) transferBlock(b int, live RegSet, flags FlagSet) (RegSet, FlagSet) {
+func (lv *Liveness) transfer(b, from int, live isa.RegSet, flags isa.FlagSet) (isa.RegSet, isa.FlagSet) {
 	blk := &lv.g.Blocks[b]
 	p := lv.g.Prog
-	for j := blk.End - 1; j >= blk.Start; j-- {
+	for j := blk.End - 1; j >= from; j-- {
 		in := &p.Insts[j].Inst
 		live = (live &^ RegsWritten(in)) | RegsRead(in)
-		flags = (flags &^ FlagsKilled(in)) | FlagsRead(in)
+		flags = (flags &^ in.FlagsKilled()) | FlagsRead(in)
 	}
 	return live, flags
 }
 
 // liveAt computes the live state immediately before instruction i by
 // replaying the block suffix from the block's live-out state.
-func (lv *Liveness) liveAt(i int) (RegSet, FlagSet) {
+func (lv *Liveness) liveAt(i int) (isa.RegSet, isa.FlagSet) {
 	b := lv.g.BlockOf[i]
-	blk := &lv.g.Blocks[b]
-	p := lv.g.Prog
-	live, flags := lv.liveOut[b], lv.flagsOut[b]
-	for j := blk.End - 1; j >= i; j-- {
-		in := &p.Insts[j].Inst
-		live = (live &^ RegsWritten(in)) | RegsRead(in)
-		flags = (flags &^ FlagsKilled(in)) | FlagsRead(in)
-	}
-	return live, flags
+	return lv.transfer(b, i, lv.liveOut[b], lv.flagsOut[b])
 }
 
 // DeadRegsAt returns the registers provably dead immediately before
@@ -107,9 +101,9 @@ func (lv *Liveness) liveAt(i int) (RegSet, FlagSet) {
 // less precise than Program.DeadRegsAt (the block-local oracle): the
 // straight-line scan is the restriction of these equations to a single
 // path with ⊤ at the block end. RSP is never reported dead.
-func (lv *Liveness) DeadRegsAt(i int) RegSet {
+func (lv *Liveness) DeadRegsAt(i int) isa.RegSet {
 	live, _ := lv.liveAt(i)
-	return (AllRegs &^ live).clearRSP()
+	return noRSP &^ live
 }
 
 // FlagsDeadAt reports whether every condition flag is provably dead

@@ -2,6 +2,8 @@ package cfg_test
 
 import (
 	"fmt"
+	"os"
+	"strings"
 	"testing"
 
 	"redfat/internal/cfg"
@@ -10,31 +12,89 @@ import (
 	"redfat/internal/vm"
 )
 
-// TestSemanticsCrossCheck validates the static dataflow tables
-// (RegsRead, RegsWritten, WritesFlags, ReadsFlags, FlagsRead,
-// FlagsKilled) against the VM's executable semantics for every encodable
-// opcode × form × width combination, by single-stepping each instruction
-// and perturbing one input at a time:
+// TestSemanticsCrossCheck validates the exact per-instruction effects
+// isa.Inst reports (RegsRead, RegsWritten, FlagsRead, FlagsKilled,
+// FlagsMayWrite, StoresMem) against the VM's executable semantics for
+// every encodable opcode × form × width combination, by single-stepping
+// each instruction and perturbing one input at a time:
 //
 //   - a register the table omits from RegsRead must not influence any
 //     output (registers, flags, RIP, memory);
 //   - a register outside RegsWritten must come out unchanged, and one
 //     inside RegsWritten ∖ RegsRead must come out input-independent
 //     (the liveness kill set is a must-kill set);
-//   - !WritesFlags means the flags survive verbatim;
+//   - a flag outside FlagsMayWrite survives verbatim;
 //   - a flag in FlagsKilled must leave input-independent;
 //   - a flag outside FlagsRead must not influence any non-flag output
-//     or any other flag.
+//     or any other flag;
+//   - a write to the data page needs Writes, and any memory write
+//     (data page or stack) needs StoresMem.
 //
-// RTCALL and TRAP are excluded: their behaviour depends on host bindings
-// and the patch table, and the tables already saturate them to
-// everything-read / everything-written.
+// It also checks that cfg's whole-program view contains the exact
+// effects. RTCALL and TRAP are excluded: their behaviour depends on host
+// bindings and the patch table, and the cfg view saturates them.
 func TestSemanticsCrossCheck(t *testing.T) {
 	cases := 0
-	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
-		if op == isa.RTCALL || op == isa.TRAP {
-			continue
+	forEachInst(func(in *isa.Inst) {
+		if in.Op == isa.RTCALL || in.Op == isa.TRAP {
+			return
 		}
+		checkSemantics(t, in)
+		cases++
+	})
+	if cases < 100 {
+		t.Fatalf("only %d encodable cases enumerated; enumeration is broken", cases)
+	}
+	t.Logf("cross-checked %d opcode×form×width cases", cases)
+}
+
+// TestEffectsGolden pins the precision of every effect query: for each
+// instruction forEachInst enumerates (RTCALL and TRAP included), the cfg
+// view and the exact isa answers must reproduce testdata/effects.golden
+// row for row. A query that becomes coarser or finer fails here even
+// when it stays sound. The CondFlags column is FlagsRead restricted to
+// conditional jumps; ReadsFlags is "cfg's FlagsRead is nonempty".
+func TestEffectsGolden(t *testing.T) {
+	want, err := os.ReadFile("testdata/effects.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")[1:] // skip the header
+	b := func(x bool) int {
+		if x {
+			return 1
+		}
+		return 0
+	}
+	n := 0
+	forEachInst(func(in *isa.Inst) {
+		var cond isa.FlagSet
+		if in.Op.IsCondJump() {
+			cond = in.FlagsRead()
+		}
+		got := fmt.Sprintf("%s %s %d %d | %#04x %#04x %#x %#x %d %d | %#x %#x %#x %#x %#04x %d",
+			in.Op, in.Form, in.Size, in.Imm,
+			uint16(cfg.RegsRead(in)), uint16(cfg.RegsWritten(in)),
+			uint8(cfg.FlagsRead(in)), uint8(in.FlagsKilled()),
+			b(cfg.WritesFlags(in)), b(cfg.FlagsRead(in) != 0),
+			uint8(cond), uint8(in.FlagsRead()), uint8(in.FlagsKilled()),
+			uint8(in.FlagsMayWrite()), uint16(in.RegsWritten()), b(in.StoresMem()))
+		if n >= len(lines) {
+			t.Errorf("extra row %q", got)
+		} else if got != lines[n] {
+			t.Errorf("row %d:\n got %s\nwant %s", n+1, got, lines[n])
+		}
+		n++
+	})
+	if n != len(lines) {
+		t.Errorf("enumerated %d rows, golden has %d", n, len(lines))
+	}
+}
+
+// forEachInst calls f for every encodable opcode × form × width ×
+// immediate combination, in a fixed order.
+func forEachInst(f func(in *isa.Inst)) {
+	for op := isa.Op(1); int(op) < isa.NumOps; op++ {
 		for form := isa.FNone; form <= isa.FRel32; form++ {
 			for _, size := range []uint8{1, 2, 4, 8} {
 				for _, imm := range immCandidates(op, form) {
@@ -42,16 +102,11 @@ func TestSemanticsCrossCheck(t *testing.T) {
 					if _, err := isa.Encode(nil, &in); err != nil {
 						continue // not an encodable combination
 					}
-					checkSemantics(t, &in)
-					cases++
+					f(&in)
 				}
 			}
 		}
 	}
-	if cases < 100 {
-		t.Fatalf("only %d encodable cases enumerated; enumeration is broken", cases)
-	}
-	t.Logf("cross-checked %d opcode×form×width cases", cases)
 }
 
 // Register roles: the memory operand is always [RSI + RDI*4 + 64], so
@@ -168,52 +223,53 @@ func runOne(t *testing.T, in *isa.Inst, s machineState) outcome {
 	return out
 }
 
-func flagVal(f vm.Flags, bit cfg.FlagSet) bool {
+func flagVal(f vm.Flags, bit isa.FlagSet) bool {
 	switch bit {
-	case cfg.FlagZ:
+	case isa.FlagZ:
 		return f.ZF
-	case cfg.FlagS:
+	case isa.FlagS:
 		return f.SF
-	case cfg.FlagC:
+	case isa.FlagC:
 		return f.CF
-	case cfg.FlagO:
+	case isa.FlagO:
 		return f.OF
 	}
 	return false
 }
 
-func setFlag(f *vm.Flags, bit cfg.FlagSet, v bool) {
+func setFlag(f *vm.Flags, bit isa.FlagSet, v bool) {
 	switch bit {
-	case cfg.FlagZ:
+	case isa.FlagZ:
 		f.ZF = v
-	case cfg.FlagS:
+	case isa.FlagS:
 		f.SF = v
-	case cfg.FlagC:
+	case isa.FlagC:
 		f.CF = v
-	case cfg.FlagO:
+	case isa.FlagO:
 		f.OF = v
 	}
 }
 
-var flagBits = []cfg.FlagSet{cfg.FlagZ, cfg.FlagS, cfg.FlagC, cfg.FlagO}
+var flagBits = []isa.FlagSet{isa.FlagZ, isa.FlagS, isa.FlagC, isa.FlagO}
 
 func checkSemantics(t *testing.T, in *isa.Inst) {
 	t.Helper()
 	label := fmt.Sprintf("%s/%s/size=%d/imm=%d", in.Op, in.Form, in.Size, in.Imm)
 
-	read := cfg.RegsRead(in)
-	written := cfg.RegsWritten(in)
-	fRead := cfg.FlagsRead(in)
-	fKilled := cfg.FlagsKilled(in)
+	read := in.RegsRead()
+	written := in.RegsWritten()
+	fRead := in.FlagsRead()
+	fKilled := in.FlagsKilled()
+	fMay := in.FlagsMayWrite()
 
-	// Static consistency between the legacy predicates and the lattice
-	// sets: a nonzero must-kill set implies the may-write bit, and a
-	// nonzero read set implies the may-read bit.
-	if fKilled != 0 && !cfg.WritesFlags(in) {
-		t.Errorf("%s: FlagsKilled=%04b but WritesFlags=false", label, fKilled)
+	// Static consistency: the must-kill set is inside the may-write set,
+	// and cfg's whole-program view contains the exact effects.
+	if fKilled&^fMay != 0 {
+		t.Errorf("%s: FlagsKilled=%04b not inside FlagsMayWrite=%04b", label, fKilled, fMay)
 	}
-	if fRead != 0 && !cfg.ReadsFlags(in) {
-		t.Errorf("%s: FlagsRead=%04b but ReadsFlags=false", label, fRead)
+	if read&^cfg.RegsRead(in) != 0 || written&^cfg.RegsWritten(in) != 0 ||
+		fRead&^cfg.FlagsRead(in) != 0 || (fMay != 0 && !cfg.WritesFlags(in)) {
+		t.Errorf("%s: cfg view is narrower than the exact effects", label)
 	}
 
 	s0 := baseState(false)
@@ -237,10 +293,14 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 		}
 	}
 
-	// WritesFlags soundness: with the bit off, flags survive verbatim.
-	if !cfg.WritesFlags(in) {
-		if base.flags != s0.flags || baseAll.flags != s1.flags {
-			t.Errorf("%s: modifies flags but WritesFlags=false", label)
+	// FlagsMayWrite soundness: a flag outside the set survives verbatim.
+	for _, bit := range flagBits {
+		if fMay.Has(bit) {
+			continue
+		}
+		if flagVal(base.flags, bit) != flagVal(s0.flags, bit) ||
+			flagVal(baseAll.flags, bit) != flagVal(s1.flags, bit) {
+			t.Errorf("%s: modifies flag %04b but FlagsMayWrite omits it", label, bit)
 		}
 	}
 
@@ -257,9 +317,13 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 		}
 	}
 
-	// Data-page writes require Writes().
+	// Data-page writes require Writes(); any memory write requires
+	// StoresMem().
 	if base.data != dataFill() && !in.Writes() {
 		t.Errorf("%s: writes the data page but Inst.Writes()=false", label)
+	}
+	if (base.data != dataFill() || base.stack != stackFill()) && !in.StoresMem() {
+		t.Errorf("%s: writes memory but StoresMem()=false", label)
 	}
 
 	// RegsRead soundness: perturbing an unread register must not change
@@ -334,6 +398,14 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 func dataFill() (p [mem.PageSize]byte) {
 	for i := range p {
 		p[i] = 0x11
+	}
+	return
+}
+
+// stackFill reproduces the initial stack-page image for comparison.
+func stackFill() (p [mem.PageSize]byte) {
+	for i := range p {
+		p[i] = 0x22
 	}
 	return
 }

@@ -439,3 +439,24 @@ func TestOpNames(t *testing.T) {
 		}
 	}
 }
+
+func TestRegSet(t *testing.T) {
+	var s RegSet
+	s = s.Add(RAX).Add(R15)
+	if !s.Has(RAX) || !s.Has(R15) || s.Has(RBX) {
+		t.Error("RegSet membership broken")
+	}
+	if s.Count() != 2 {
+		t.Errorf("Count = %d", s.Count())
+	}
+	if s.Add(RegNone) != s || s.Add(RIP) != s {
+		t.Error("pseudo registers changed the set")
+	}
+	o := RegSet(0).Add(RBX)
+	if s.Intersects(o) {
+		t.Error("disjoint sets intersect")
+	}
+	if !s.Union(o).Has(RBX) {
+		t.Error("union missing member")
+	}
+}

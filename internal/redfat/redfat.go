@@ -336,7 +336,7 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 		if opt.NoClobberSpec {
 			return savedRegs, saveFlags
 		}
-		var dead cfg.RegSet
+		var dead isa.RegSet
 		var flagsDead bool
 		if df != nil && !opt.LocalLiveness {
 			dead = df.DeadRegsAt(head)

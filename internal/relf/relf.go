@@ -335,22 +335,35 @@ func (b *Binary) Marshal() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Unmarshal parses a serialized RELF image.
+// imageError reports a serialized image that does not decode: too
+// small, a bad magic, checksum or version, truncated data, or an
+// unreasonable count. A section whose range wraps is a
+// *SectionRangeError instead.
+type imageError struct{ reason string }
+
+func (e *imageError) Error() string { return "relf: " + e.reason }
+
+func badImage(format string, args ...any) error {
+	return &imageError{fmt.Sprintf(format, args...)}
+}
+
+// Unmarshal parses a serialized RELF image. Every rejection is an
+// *imageError or a *SectionRangeError.
 func Unmarshal(data []byte) (*Binary, error) {
 	if len(data) < 4+4+4+8+4 {
-		return nil, fmt.Errorf("relf: image too small (%d bytes)", len(data))
+		return nil, badImage("image too small (%d bytes)", len(data))
 	}
 	if !bytes.Equal(data[:4], Magic[:]) {
-		return nil, fmt.Errorf("relf: bad magic % x", data[:4])
+		return nil, badImage("bad magic % x", data[:4])
 	}
 	body, sumBytes := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(sumBytes) {
-		return nil, fmt.Errorf("relf: checksum mismatch")
+		return nil, badImage("checksum mismatch")
 	}
 	pos := 4
 	r32 := func() (uint32, error) {
 		if pos+4 > len(body) {
-			return 0, fmt.Errorf("relf: truncated at %d", pos)
+			return 0, badImage("truncated at %d", pos)
 		}
 		v := binary.LittleEndian.Uint32(body[pos:])
 		pos += 4
@@ -358,7 +371,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	r64 := func() (uint64, error) {
 		if pos+8 > len(body) {
-			return 0, fmt.Errorf("relf: truncated at %d", pos)
+			return 0, badImage("truncated at %d", pos)
 		}
 		v := binary.LittleEndian.Uint64(body[pos:])
 		pos += 8
@@ -366,7 +379,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	r8 := func() (byte, error) {
 		if pos+1 > len(body) {
-			return 0, fmt.Errorf("relf: truncated at %d", pos)
+			return 0, badImage("truncated at %d", pos)
 		}
 		v := body[pos]
 		pos++
@@ -374,12 +387,12 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	rstr := func() (string, error) {
 		if pos+2 > len(body) {
-			return "", fmt.Errorf("relf: truncated at %d", pos)
+			return "", badImage("truncated at %d", pos)
 		}
 		n := int(binary.LittleEndian.Uint16(body[pos:]))
 		pos += 2
 		if pos+n > len(body) {
-			return "", fmt.Errorf("relf: truncated string at %d", pos)
+			return "", badImage("truncated string at %d", pos)
 		}
 		s := string(body[pos : pos+n])
 		pos += n
@@ -391,7 +404,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 		return nil, err
 	}
 	if ver != Version {
-		return nil, fmt.Errorf("relf: unsupported version %d", ver)
+		return nil, badImage("unsupported version %d", ver)
 	}
 	flags, err := r32()
 	if err != nil {
@@ -411,7 +424,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 	}
 	const maxCount = 1 << 20
 	if nsec > maxCount {
-		return nil, fmt.Errorf("relf: unreasonable section count %d", nsec)
+		return nil, badImage("unreasonable section count %d", nsec)
 	}
 	for i := uint32(0); i < nsec; i++ {
 		s := &Section{}
@@ -443,7 +456,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 			return nil, err
 		}
 		if dlen > uint64(len(body)-pos) {
-			return nil, fmt.Errorf("relf: section %q data truncated", s.Name)
+			return nil, badImage("section %q data truncated", s.Name)
 		}
 		s.Data = append([]byte(nil), body[pos:pos+int(dlen)]...)
 		pos += int(dlen)
@@ -455,7 +468,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 		return nil, err
 	}
 	if nsym > maxCount {
-		return nil, fmt.Errorf("relf: unreasonable symbol count %d", nsym)
+		return nil, badImage("unreasonable symbol count %d", nsym)
 	}
 	for i := uint32(0); i < nsym; i++ {
 		var s Symbol
@@ -481,7 +494,7 @@ func Unmarshal(data []byte) (*Binary, error) {
 		return nil, err
 	}
 	if nimp > maxCount {
-		return nil, fmt.Errorf("relf: unreasonable import count %d", nimp)
+		return nil, badImage("unreasonable import count %d", nimp)
 	}
 	for i := uint32(0); i < nimp; i++ {
 		n, err := rstr()

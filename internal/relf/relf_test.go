@@ -1,8 +1,10 @@
 package relf
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -277,4 +279,37 @@ func TestWrappedSectionRejected(t *testing.T) {
 	if err := b.CheckOverlaps(); err != nil {
 		t.Errorf("top-of-space section rejected: %v", err)
 	}
+}
+
+// FuzzUnmarshal: decoding arbitrary bytes never panics, every rejection
+// is an *imageError or a *SectionRangeError, and an accepted image is a
+// fixed point of Marshal∘Unmarshal: re-decoding its encoding gives the
+// same binary, and re-encoding that gives the same bytes.
+func FuzzUnmarshal(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := Unmarshal(data)
+		if err != nil {
+			var ie *imageError
+			var re *SectionRangeError
+			if !errors.As(err, &ie) && !errors.As(err, &re) {
+				t.Fatalf("Unmarshal: %v (%T) is not a typed rejection", err, err)
+			}
+			return
+		}
+		enc, err := b.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := Unmarshal(enc)
+		if err != nil {
+			t.Fatalf("re-decoding an encoded image: %v", err)
+		}
+		if !reflect.DeepEqual(back, b) {
+			t.Fatalf("round trip changed the binary:\n got %+v\nwant %+v", back, b)
+		}
+		again, err := back.Marshal()
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not stable (%v)", err)
+		}
+	})
 }

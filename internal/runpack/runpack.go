@@ -187,14 +187,25 @@ func (b *Builder) SetRun(spec *RunSpec) { b.man.Run = spec }
 // SetKnobs attaches the hardening configuration.
 func (b *Builder) SetKnobs(k *KnobSpec) { b.man.Knobs = k }
 
-// AddBytes records one member file. Names must be flat (no separators)
-// and must not collide with the reserved manifest/digest names. Errors
-// are sticky and reported by Seal.
+// validMemberName reports whether name can be a member: a flat file
+// name (no separators, not "." or "..") other than the reserved
+// manifest/digest names. Verify applies the same rule, so a manifest
+// cannot point outside its pack.
+func validMemberName(name string) bool {
+	switch name {
+	case "", ".", "..", ManifestName, DigestName:
+		return false
+	}
+	return !strings.ContainsAny(name, "/\\")
+}
+
+// AddBytes records one member file. Names must be valid member names
+// (validMemberName) and unique. Errors are sticky and reported by Seal.
 func (b *Builder) AddBytes(name string, data []byte) {
 	if b.err != nil {
 		return
 	}
-	if strings.ContainsAny(name, "/\\") || name == ManifestName || name == DigestName || name == "" {
+	if !validMemberName(name) {
 		b.err = fmt.Errorf("runpack: invalid member name %q", name)
 		return
 	}

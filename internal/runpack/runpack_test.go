@@ -1,7 +1,9 @@
 package runpack
 
 import (
+	"archive/tar"
 	"bytes"
+	"compress/gzip"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -613,7 +615,7 @@ func TestTarRoundtrip(t *testing.T) {
 }
 
 func TestBuilderRejectsBadMemberNames(t *testing.T) {
-	for _, name := range []string{"", "a/b", `a\b`, ManifestName, DigestName} {
+	for _, name := range []string{"", ".", "..", "a/b", `a\b`, ManifestName, DigestName} {
 		b, err := NewBuilder(t.TempDir(), KindRun, "test", nil)
 		if err != nil {
 			t.Fatal(err)
@@ -631,6 +633,85 @@ func TestBuilderRejectsBadMemberNames(t *testing.T) {
 	b.AddBytes("dup.bin", []byte("y"))
 	if err := b.Seal(); err == nil || !strings.Contains(err.Error(), "duplicate") {
 		t.Errorf("duplicate member not rejected: %v", err)
+	}
+}
+
+// TestVerifyRejectsEscapingMemberNames crafts correctly sealed directory
+// packs whose manifests name a file outside the pack (with its true
+// digest, so reading it would verify), "..", or one member twice:
+// Verify must refuse the names before reading any member.
+func TestVerifyRejectsEscapingMemberNames(t *testing.T) {
+	for _, c := range []struct {
+		label string
+		names []string
+	}{
+		{"parent", []string{"../outside.bin"}},
+		{"dotdot", []string{"..", "a.bin"}},
+		{"duplicate", []string{"a.bin", "a.bin"}},
+	} {
+		t.Run(c.label, func(t *testing.T) {
+			root := t.TempDir()
+			dir := filepath.Join(root, "pack")
+			if err := os.Mkdir(dir, 0o755); err != nil {
+				t.Fatal(err)
+			}
+			data := []byte("secret")
+			if err := os.WriteFile(filepath.Join(root, "outside.bin"), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if c.names[len(c.names)-1] == "a.bin" {
+				if err := os.WriteFile(filepath.Join(dir, "a.bin"), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sum := sha256.Sum256(data)
+			man := Manifest{SchemaVersion: SchemaVersion, Kind: KindRun, Tool: "test"}
+			for _, name := range c.names {
+				man.Members = append(man.Members, Member{
+					Name: name, Size: int64(len(data)), SHA256: hex.EncodeToString(sum[:]),
+				})
+			}
+			man.ChainDigest = chainDigest(man.Members)
+			manData, err := json.MarshalIndent(&man, "", "  ")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, ManifestName), manData, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if err := resign(dir, manData); err != nil {
+				t.Fatal(err)
+			}
+			_, err = VerifyPath(dir)
+			if got := ExitCode(err); got != ExitBadSchema {
+				t.Fatalf("exit code %d (%v), want %d", got, err, ExitBadSchema)
+			}
+		})
+	}
+}
+
+// TestOpenTarRejectsDuplicateNames: two tarball entries that flatten to
+// the same member name must not silently overwrite each other.
+func TestOpenTarRejectsDuplicateNames(t *testing.T) {
+	var buf bytes.Buffer
+	gz := gzip.NewWriter(&buf)
+	tw := tar.NewWriter(gz)
+	for _, name := range []string{"pack/a.bin", "other/a.bin"} {
+		if err := tw.WriteHeader(&tar.Header{Name: name, Mode: 0o644, Size: 1, Typeflag: tar.TypeReg}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tw.Write([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := gz.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := openTar(&buf); err == nil || !strings.Contains(err.Error(), "two entries") {
+		t.Fatalf("duplicate tar entries accepted: %v", err)
 	}
 }
 

@@ -122,6 +122,9 @@ func openTar(r io.Reader) (*Pack, error) {
 			continue
 		}
 		name := filepath.Base(hdr.Name)
+		if _, dup := p.files[name]; dup {
+			return nil, fmt.Errorf("runpack: tarball holds two entries named %q", name)
+		}
 		data, err := io.ReadAll(tr)
 		if err != nil {
 			return nil, err
@@ -163,7 +166,8 @@ func (p *Pack) Manifest() (*Manifest, error) {
 }
 
 // Verify re-checks the pack end to end: the outer manifest seal, the
-// manifest schema, every member's size and SHA-256, the chained content
+// manifest schema, that member names are flat and unique (checked before
+// any member is read), every member's size and SHA-256, the chained content
 // digest, and that no unknown files hide inside the pack. On success it
 // returns the (now trusted) manifest.
 func Verify(p *Pack) (*Manifest, error) {
@@ -199,7 +203,13 @@ func Verify(p *Pack) (*Manifest, error) {
 	}
 	known := map[string]bool{ManifestName: true, DigestName: true}
 	for _, m := range man.Members {
+		if !validMemberName(m.Name) || known[m.Name] {
+			return nil, &VerifyError{Code: ExitBadSchema, Member: ManifestName,
+				Reason: fmt.Sprintf("invalid or duplicate member name %q", m.Name)}
+		}
 		known[m.Name] = true
+	}
+	for _, m := range man.Members {
 		data, err := p.ReadMember(m.Name)
 		if err != nil {
 			return nil, &VerifyError{Code: ExitMissing, Member: m.Name,

@@ -301,20 +301,9 @@ type jctx struct {
 // taken exit.
 type jstep func(j *jctx) int
 
-// stepTel is the telemetry delta of one step (or of a partial, faulting
-// step): the retired opcode plus the load/store/branch/patch counter
-// increments the interpreter would have made.
-type stepTel struct {
-	op       isa.Op
-	loads    uint8
-	stores   uint8
-	branches uint8
-	patch    uint8
-}
-
 // telBatch is a precomputed aggregate of the per-step telemetry along
-// one exit path, applied with a handful of counter adds instead of a
-// per-step replay. Built only for the terminal (hot) exits.
+// one exit path, applied with a handful of counter adds. Built for every
+// exit, when the VM has telemetry attached.
 type telBatch struct {
 	loads, stores, branches, patch uint64
 	ops                            []opCount
@@ -327,17 +316,15 @@ type opCount struct {
 }
 
 // traceExit is the runner-side record of one exit: the materialization
-// constants from TraceExit plus the telemetry replay data and a
-// one-entry successor-block cache (the trace-level BTB).
+// constants from TraceExit plus its telemetry aggregate and a one-entry
+// successor-block cache (the trace-level BTB).
 type traceExit struct {
 	kind    ExitKind
 	rip     uint64
 	dynamic bool
 	retired uint64
 	cycles  uint64
-	step    int
-	self    stepTel   // the exiting step's own (possibly partial) telemetry
-	batch   *telBatch // aggregate for terminal exits; nil → replay per-step meta
+	batch   *telBatch // nil when no telemetry is attached
 
 	// deopt marks exits that leave the compiled tier; reason is the
 	// attribution bucket (computed once at emit time, so the runner pays
@@ -355,7 +342,6 @@ type trace struct {
 	overhead uint64 // PerInstOverhead the costs were compiled against
 	maxCost  uint64
 	steps    []jstep
-	meta     []stepTel // continue-path telemetry per step
 	exits    []traceExit
 	outc     []CheckOutcome // leader→follower forwarding slots
 	ctx      jctx           // reused across entries (one VM, one goroutine)
@@ -535,8 +521,8 @@ func (v *VM) runTrace(t *trace) (*traceExit, error) {
 			t.deopts[e.reason]++
 			v.Flight.Record(obs.EvDeopt, uint8(e.reason), v.RIP, t.entryPC)
 		}
-		if v.tel != nil {
-			v.applyTraceTel(t, e)
+		if e.batch != nil {
+			v.applyTraceTel(e)
 		}
 		if j.err != nil {
 			return e, j.err
@@ -553,48 +539,21 @@ func (v *VM) runTrace(t *trace) (*traceExit, error) {
 	}
 }
 
-// applyTraceTel replays the telemetry the interpreter would have
-// recorded along e's path: the precomputed aggregate for terminal exits,
-// or a per-step replay (plus the exiting step's partial delta) for side
-// and fault exits.
-func (v *VM) applyTraceTel(t *trace, e *traceExit) {
-	tel := v.tel
+// applyTraceTel records the telemetry the interpreter would have
+// recorded along e's path.
+func (v *VM) applyTraceTel(e *traceExit) {
+	tel, b := v.tel, e.batch
 	tel.retiredAll.Add(e.retired)
 	tel.jitInsts.Add(e.retired)
 	if e.deopt {
 		tel.jitDeopts.Inc()
 		tel.jitDeoptBy[e.reason].Inc()
 	}
-	if b := e.batch; b != nil {
-		for i := range b.ops {
-			tel.retired[b.ops[i].op].Add(b.ops[i].n)
-		}
-		tel.loads.Add(b.loads)
-		tel.stores.Add(b.stores)
-		tel.branches.Add(b.branches)
-		tel.patchHits.Add(b.patch)
-		return
+	for i := range b.ops {
+		tel.retired[b.ops[i].op].Add(b.ops[i].n)
 	}
-	for i := 0; i < e.step; i++ {
-		v.applyStepTel(&t.meta[i])
-	}
-	v.applyStepTel(&e.self)
-}
-
-// applyStepTel applies one step's counter deltas.
-func (v *VM) applyStepTel(m *stepTel) {
-	tel := v.tel
-	tel.retired[m.op].Inc()
-	if m.loads != 0 {
-		tel.loads.Add(uint64(m.loads))
-	}
-	if m.stores != 0 {
-		tel.stores.Add(uint64(m.stores))
-	}
-	if m.branches != 0 {
-		tel.branches.Add(uint64(m.branches))
-	}
-	if m.patch != 0 {
-		tel.patchHits.Add(uint64(m.patch))
-	}
+	tel.loads.Add(b.loads)
+	tel.stores.Add(b.stores)
+	tel.branches.Add(b.branches)
+	tel.patchHits.Add(b.patch)
 }

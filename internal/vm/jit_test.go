@@ -341,3 +341,90 @@ func TestJITDivFaultIdentity(t *testing.T) {
 			jit.Cycles, ref.Cycles, jit.Insts, ref.Insts, jit.RIP, ref.RIP)
 	}
 }
+
+// TestJITMemFaultIdentity faults a memory instruction inside a hot
+// compiled loop at each of its fault stages: the operand address is
+// good for eight iterations, then points at unmapped memory (the first
+// access faults) or at read-only text (a read-modify-write loads, then
+// its store faults). The fault must carry the interpreter's error text,
+// machine state and guest-derived telemetry, including the counted
+// loads and stores of the partial step.
+func TestJITMemFaultIdentity(t *testing.T) {
+	cell := isa.Mem{Base: isa.RSI, Index: isa.RegNone, Scale: 1}
+	cases := []struct {
+		name     string
+		readOnly bool // bad address is text (store faults), else unmapped
+		emit     func(b *asm.Builder)
+	}{
+		{"alu-load", false, func(b *asm.Builder) { b.AluRM(isa.ADD, isa.RAX, cell, 8) }},
+		{"cmp-load", false, func(b *asm.Builder) { b.AluMR(isa.CMP, cell, isa.RAX, 8) }},
+		{"rmw-load", false, func(b *asm.Builder) { b.AluMR(isa.ADD, cell, isa.RAX, 8) }},
+		{"rmw-store", true, func(b *asm.Builder) { b.AluMR(isa.ADD, cell, isa.RAX, 8) }},
+		{"mov-store", true, func(b *asm.Builder) { b.StoreM(cell, isa.RAX, 8) }},
+		{"unary-store", true, func(b *asm.Builder) {
+			b.Emit(isa.Inst{Op: isa.INC, Form: isa.FM, Mem: cell, Size: 8})
+		}},
+		{"push-load", false, func(b *asm.Builder) {
+			b.Emit(isa.Inst{Op: isa.PUSH, Form: isa.FM, Mem: cell, Size: 8})
+			b.Pop(isa.RCX)
+		}},
+		{"pop-store", true, func(b *asm.Builder) {
+			b.Push(isa.RAX)
+			b.Emit(isa.Inst{Op: isa.POP, Form: isa.FM, Mem: cell, Size: 8})
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			b := asm.NewBuilder(asm.Options{})
+			b.Func("main")
+			b.GlobalU64("cell", 5)
+			b.MovRI(isa.RAX, 7)
+			b.MovRI(isa.RBX, 0)
+			b.LoadAddr(isa.RDX, "cell", 0)
+			if c.readOnly {
+				b.LoadAddr(isa.R8, "main", 0)
+			} else {
+				b.MovRR(isa.R8, isa.RDX)
+				b.AluRI(isa.ADD, isa.R8, 1<<24)
+			}
+			b.MovRR(isa.R9, isa.R8)
+			b.AluRR(isa.SUB, isa.R9, isa.RDX) // bad - good
+			b.Label("loop")
+			// RSI = good + (RBX/8)*(bad-good): good for RBX < 8.
+			b.MovRR(isa.RSI, isa.RBX)
+			b.Shift(isa.SHR, isa.RSI, 3)
+			b.AluRR(isa.IMUL, isa.RSI, isa.R9)
+			b.AluRR(isa.ADD, isa.RSI, isa.RDX)
+			c.emit(b)
+			b.AluRI(isa.ADD, isa.RBX, 1)
+			b.AluRI(isa.CMP, isa.RBX, 100)
+			b.Jcc(isa.JL, "loop")
+			b.Ret()
+			bin, err := b.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			jit, jitTel, jitErr := jitRun(t, bin, false, 2, 1_000_000)
+			ref, refTel, refErr := jitRun(t, bin, true, 2, 1_000_000)
+			if jitErr == nil || refErr == nil {
+				t.Fatalf("expected a memory fault, got jit %v, nojit %v", jitErr, refErr)
+			}
+			if jitErr.Error() != refErr.Error() {
+				t.Errorf("fault text differs:\njit:   %v\nnojit: %v", jitErr, refErr)
+			}
+			if jit.Cycles != ref.Cycles || jit.Insts != ref.Insts || jit.RIP != ref.RIP {
+				t.Errorf("fault state differs: cycles %d/%d insts %d/%d rip %#x/%#x",
+					jit.Cycles, ref.Cycles, jit.Insts, ref.Insts, jit.RIP, ref.RIP)
+			}
+			if jitTel.Counters["vm.jit.deopt.fault.count"] == 0 {
+				t.Fatal("the fault did not happen inside a compiled trace")
+			}
+			a, r := stripJITHost(jitTel), stripJITHost(refTel)
+			for name, av := range a.Counters {
+				if rv := r.Counters[name]; av != rv {
+					t.Errorf("counter %s: jit %d, nojit %d", name, av, rv)
+				}
+			}
+		})
+	}
+}

@@ -20,153 +20,15 @@ package vm
 //     write to the plan's registers and no intervening guest store, is
 //     downgraded to forwarding the leader's outcome.
 //
+// Both read the instructions' exact effects from isa.Inst (inside a
+// trace every successor is explicit, so no callee or patch target is
+// opaque the way it is to internal/cfg's whole-program view).
+//
 // Everything the phase decides is recorded in TraceInfo/stepAux; the
 // emitter compiles from the record alone, and internal/verify re-derives
 // the record independently (DESIGN.md §14).
 
 import "redfat/internal/isa"
-
-// Per-flag liveness masks. These are local to the JIT (the cfg package
-// has a coarser whole-program notion that treats calls as reading all
-// flags; inside a trace every successor is explicit, so the JIT can be
-// exact). fAll is the conservative "everything live" element.
-const (
-	fZ uint8 = 1 << iota
-	fS
-	fC
-	fO
-
-	fAll = fZ | fS | fC | fO
-)
-
-// jitCondFlags returns the flags a conditional jump reads.
-func jitCondFlags(op isa.Op) uint8 {
-	switch op {
-	case isa.JE, isa.JNE:
-		return fZ
-	case isa.JL, isa.JGE:
-		return fS | fO
-	case isa.JLE, isa.JG:
-		return fZ | fS | fO
-	case isa.JB, isa.JAE:
-		return fC
-	case isa.JBE, isa.JA:
-		return fC | fZ
-	case isa.JS, isa.JNS:
-		return fS
-	case isa.JO, isa.JNO:
-		return fO
-	}
-	return 0
-}
-
-// jitFlagsRead returns the flags an on-trace instruction observes.
-// CALL/TRAP/RTCALL read nothing here: their on-trace successors are
-// explicit steps, and off-trace exits force full liveness separately.
-func jitFlagsRead(in *isa.Inst) uint8 {
-	if in.Op.IsCondJump() {
-		return jitCondFlags(in.Op)
-	}
-	if in.Op == isa.PUSHF {
-		return fAll
-	}
-	return 0
-}
-
-// jitFlagsKilled returns the flags an instruction unconditionally
-// overwrites on its continue path.
-func jitFlagsKilled(in *isa.Inst) uint8 {
-	switch in.Op {
-	case isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR,
-		isa.CMP, isa.TEST, isa.IMUL, isa.NEG, isa.POPF:
-		return fAll
-	case isa.INC, isa.DEC:
-		return fZ | fS | fO // CF preserved (x86 semantics)
-	case isa.SHL, isa.SHR, isa.SAR:
-		// A shift writes flags only when the masked count is nonzero;
-		// that is static for immediate counts, unknowable for CL.
-		if in.Form == isa.FRI && uint64(in.Imm)&63 != 0 {
-			return fAll
-		}
-		return 0
-	}
-	return 0
-}
-
-// jitFlagsMayWrite returns the flags an instruction might write — the
-// kill set, except that a CL-count shift may write without being
-// guaranteed to.
-func jitFlagsMayWrite(in *isa.Inst) uint8 {
-	if in.Op == isa.SHL || in.Op == isa.SHR || in.Op == isa.SAR {
-		if in.Form == isa.FRI {
-			if uint64(in.Imm)&63 != 0 {
-				return fAll
-			}
-			return 0
-		}
-		return fAll
-	}
-	return jitFlagsKilled(in)
-}
-
-// regBit maps a register to its bit in a written-registers mask.
-func regBit(r isa.Reg) uint32 {
-	if r >= isa.NumRegs {
-		return 0
-	}
-	return 1 << r
-}
-
-// jitRegsWritten returns the mask of general-purpose registers an
-// instruction writes, for check-elision invalidation.
-func jitRegsWritten(in *isa.Inst) uint32 {
-	switch in.Op {
-	case isa.MOV, isa.MOVABS, isa.MOVZX, isa.MOVSX,
-		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.IMUL:
-		switch in.Form {
-		case isa.FRR, isa.FRI, isa.FRM:
-			return regBit(in.Reg)
-		}
-		return 0
-	case isa.CMP, isa.TEST, isa.NOP, isa.JMP, isa.TRAP, isa.HLT, isa.RTCALL:
-		return 0
-	case isa.LEA:
-		return regBit(in.Reg)
-	case isa.XCHG:
-		return regBit(in.Reg) | regBit(in.Reg2)
-	case isa.PUSH, isa.PUSHF, isa.CALL:
-		return regBit(isa.RSP)
-	case isa.POP:
-		if in.Form == isa.FR {
-			return regBit(isa.RSP) | regBit(in.Reg)
-		}
-		return regBit(isa.RSP)
-	case isa.POPF, isa.RET:
-		return regBit(isa.RSP)
-	case isa.INC, isa.DEC, isa.NEG, isa.NOT:
-		if in.Form == isa.FR {
-			return regBit(in.Reg)
-		}
-		return 0
-	case isa.SHL, isa.SHR, isa.SAR:
-		return regBit(in.Reg)
-	case isa.UDIV, isa.IDIV:
-		return regBit(isa.RAX) | regBit(isa.RDX)
-	case isa.CQO:
-		return regBit(isa.RDX)
-	}
-	return 0
-}
-
-// jitStoresMem reports whether an instruction can store to guest memory
-// (isa.Inst.Writes plus the implicit stack stores it does not model).
-func jitStoresMem(in *isa.Inst) bool {
-	switch in.Op {
-	case isa.PUSH, isa.PUSHF, isa.CALL:
-		return true
-	}
-	return in.Writes()
-}
 
 // stepAux is the emitter-facing side channel of one analyzed step: data
 // the closures need that is not part of the certifiable TraceInfo
@@ -269,8 +131,6 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 			case isa.CMP, isa.TEST: // load only
 				s := tb.addStep(pc, in, next, base+CostMem)
 				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
-			case isa.MOVABS, isa.MOVZX, isa.MOVSX:
-				return false, false
 			default: // read-modify-write
 				s := tb.addStep(pc, in, next, base+2*CostMem+mul)
 				tb.addExit(s, ExitFault, 1, pc, false, base+CostMem)
@@ -534,16 +394,16 @@ func markDeadFlags(info *TraceInfo, aux []stepAux) {
 			sideAt[info.Exits[i].Step] = true
 		}
 	}
-	live := fAll
+	live := isa.AllFlags
 	for i := len(info.Steps) - 1; i >= 0; i-- {
 		st := &info.Steps[i]
 		if i == len(info.Steps)-1 || sideAt[i] {
-			live = fAll
+			live = isa.AllFlags
 		}
-		if mw := jitFlagsMayWrite(&st.Inst); mw != 0 && live&mw == 0 {
+		if mw := st.Inst.FlagsMayWrite(); mw != 0 && live&mw == 0 {
 			st.FlagsElided = true
 		}
-		live = (live &^ jitFlagsKilled(&st.Inst)) | jitFlagsRead(&st.Inst)
+		live = (live &^ st.Inst.FlagsKilled()) | st.Inst.FlagsRead()
 	}
 }
 
@@ -573,15 +433,15 @@ func elideChecks(info *TraceInfo, aux []stepAux) {
 			}
 			continue
 		}
-		if jitStoresMem(&st.Inst) {
+		if st.Inst.StoresMem() {
 			leaders = leaders[:0]
 			continue
 		}
-		if regs := jitRegsWritten(&st.Inst); regs != 0 {
+		if regs := st.Inst.RegsWritten(); regs != 0 {
 			kept := leaders[:0]
 			for _, l := range leaders {
 				p := aux[l].plan
-				if regBit(p.BaseReg)&regs == 0 && regBit(p.IndexReg)&regs == 0 {
+				if !regs.Has(p.BaseReg) && !regs.Has(p.IndexReg) {
 					kept = append(kept, l)
 				}
 			}
