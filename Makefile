@@ -97,8 +97,9 @@ bench-history:
 # decoder (FuzzDecodeEncode), guest memory against its TLB-less reference
 # (FuzzMemOps), the strict .rf.config decoder (FuzzDecodeConfig), the
 # .rf.patch/.rf.origins and .rf.jt section-table decoders
-# (FuzzDecodePatchTable, FuzzDecodeJumpTables) and the RELF image codec
-# (FuzzUnmarshal). Not part of check, where
+# (FuzzDecodePatchTable, FuzzDecodeJumpTables), the RELF image codec
+# (FuzzUnmarshal) and the runpack tarball reader (FuzzOpenTar). Not part
+# of check, where
 # `go test` already replays the seed corpora under testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEncode$$' -fuzztime 10s ./internal/isa/
@@ -107,6 +108,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodePatchTable$$' -fuzztime 10s ./internal/relf/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJumpTables$$' -fuzztime 10s ./internal/relf/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/relf/
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenTar$$' -fuzztime 10s ./internal/runpack/
 
 # loc prints the root module's Go line counts, non-test and test, leaving
 # out the e2ebench module and its build directory: the figure of merit

@@ -14,7 +14,7 @@ import (
 
 // TestSemanticsCrossCheck validates the exact per-instruction effects
 // isa.Inst reports (RegsRead, RegsWritten, FlagsRead, FlagsKilled,
-// FlagsMayWrite, StoresMem) against the VM's executable semantics for
+// FlagsMayWrite) against the VM's executable semantics for
 // every encodable opcode × form × width combination, by single-stepping
 // each instruction and perturbing one input at a time:
 //
@@ -27,8 +27,7 @@ import (
 //   - a flag in FlagsKilled must leave input-independent;
 //   - a flag outside FlagsRead must not influence any non-flag output
 //     or any other flag;
-//   - a write to the data page needs Writes, and any memory write
-//     (data page or stack) needs StoresMem.
+//   - a write to the data page needs Writes.
 //
 // It also checks that cfg's whole-program view contains the exact
 // effects. RTCALL and TRAP are excluded: their behaviour depends on host
@@ -72,13 +71,13 @@ func TestEffectsGolden(t *testing.T) {
 		if in.Op.IsCondJump() {
 			cond = in.FlagsRead()
 		}
-		got := fmt.Sprintf("%s %s %d %d | %#04x %#04x %#x %#x %d %d | %#x %#x %#x %#x %#04x %d",
+		got := fmt.Sprintf("%s %s %d %d | %#04x %#04x %#x %#x %d %d | %#x %#x %#x %#x %#04x",
 			in.Op, in.Form, in.Size, in.Imm,
 			uint16(cfg.RegsRead(in)), uint16(cfg.RegsWritten(in)),
 			uint8(cfg.FlagsRead(in)), uint8(in.FlagsKilled()),
 			b(cfg.WritesFlags(in)), b(cfg.FlagsRead(in) != 0),
 			uint8(cond), uint8(in.FlagsRead()), uint8(in.FlagsKilled()),
-			uint8(in.FlagsMayWrite()), uint16(in.RegsWritten()), b(in.StoresMem()))
+			uint8(in.FlagsMayWrite()), uint16(in.RegsWritten()))
 		if n >= len(lines) {
 			t.Errorf("extra row %q", got)
 		} else if got != lines[n] {
@@ -317,13 +316,9 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 		}
 	}
 
-	// Data-page writes require Writes(); any memory write requires
-	// StoresMem().
+	// Data-page writes require Writes().
 	if base.data != dataFill() && !in.Writes() {
 		t.Errorf("%s: writes the data page but Inst.Writes()=false", label)
-	}
-	if (base.data != dataFill() || base.stack != stackFill()) && !in.StoresMem() {
-		t.Errorf("%s: writes memory but StoresMem()=false", label)
 	}
 
 	// RegsRead soundness: perturbing an unread register must not change
@@ -398,14 +393,6 @@ func checkSemantics(t *testing.T, in *isa.Inst) {
 func dataFill() (p [mem.PageSize]byte) {
 	for i := range p {
 		p[i] = 0x11
-	}
-	return
-}
-
-// stackFill reproduces the initial stack-page image for comparison.
-func stackFill() (p [mem.PageSize]byte) {
-	for i := range p {
-		p[i] = 0x22
 	}
 	return
 }

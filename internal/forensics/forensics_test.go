@@ -508,6 +508,35 @@ func TestFoldedOutputConsumable(t *testing.T) {
 	}
 }
 
+// TestProfilerMaxDepthBoundsStack runs the profiler at several stack
+// bounds: no sample may exceed MaxDepth frames, leaf included, and the
+// bound must be reached (the program nests two frames deep).
+func TestProfilerMaxDepthBoundsStack(t *testing.T) {
+	bin := buildOOBProgram(t)
+	hard, _, err := redfat.Harden(bin, redfat.Defaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, depth := range []int{1, 2} {
+		prof := &vm.GuestProfiler{Interval: 16, MaxDepth: depth}
+		if _, _, err := rtlib.RunHardened(hard, rtlib.RunConfig{
+			Input: []uint64{2}, AbortOnError: true, Profiler: prof,
+		}); err != nil {
+			t.Fatal(err)
+		}
+		deepest := 0
+		for _, s := range prof.Samples() {
+			if len(s.Stack) > depth {
+				t.Errorf("MaxDepth %d: sampled a %d-frame stack %#x", depth, len(s.Stack), s.Stack)
+			}
+			deepest = max(deepest, len(s.Stack))
+		}
+		if deepest != depth {
+			t.Errorf("MaxDepth %d: deepest sampled stack has %d frames", depth, deepest)
+		}
+	}
+}
+
 // TestChromeTraceParses validates the trace-event export: well-formed
 // JSON with instant events from the tracer ring and duration events from
 // the profiler timeline.

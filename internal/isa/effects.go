@@ -224,13 +224,3 @@ func (in *Inst) FlagsMayWrite() FlagSet {
 	}
 	return in.FlagsKilled()
 }
-
-// StoresMem reports whether in can store to guest memory: a written
-// memory operand (Writes) or an implicit stack push (PUSH, PUSHF, CALL).
-func (in *Inst) StoresMem() bool {
-	switch in.Op {
-	case PUSH, PUSHF, CALL:
-		return true
-	}
-	return in.Writes()
-}

@@ -6,9 +6,7 @@ import (
 	"sort"
 
 	"redfat/internal/cfg"
-	"redfat/internal/isa"
 	"redfat/internal/relf"
-	"redfat/internal/rtlib"
 )
 
 // FuncStats is the per-function slice of an analysis report. The JSON
@@ -87,7 +85,9 @@ func Analyze(bin *relf.Binary, opt Options) (*Analysis, error) {
 		return &stats[k] // k==0 → outside every function
 	}
 
-	// Instruction-level: counts and the dead-register histogram.
+	// Instruction-level: counts, the dead-register histogram and the
+	// site-selection outcome of every memory operand.
+	sel := selectSites(prog, df, opt)
 	for i := range prog.Insts {
 		fs := fnOf(prog.Insts[i].Addr)
 		fs.Insts++
@@ -96,6 +96,19 @@ func Analyze(bin *relf.Binary, opt Options) (*Analysis, error) {
 			k = 4
 		}
 		fs.DeadRegHist[k]++
+		if sel.decision[i] != noOperand {
+			fs.Operands++
+		}
+		switch sel.decision[i] {
+		case skippedRead:
+			fs.SkippedReads++
+		case elimSyntactic:
+			fs.ElimSyntactic++
+		case elimDominated:
+			fs.ElimDominated++
+		case checked:
+			fs.ChecksEmitted++
+		}
 	}
 
 	// Block-level: CFG size and dominator-tree depth.
@@ -108,50 +121,6 @@ func Analyze(bin *relf.Binary, opt Options) (*Analysis, error) {
 		fs.Edges += len(blk.Succs)
 		if d := df.Dom.Depth(b); d > fs.DomDepth {
 			fs.DomDepth = d
-		}
-	}
-
-	// Site selection, mirroring Harden's passes A and A'.
-	want := make([]bool, len(prog.Insts))
-	var cands []cfg.CheckSite
-	for i := range prog.Insts {
-		di := &prog.Insts[i]
-		in := &di.Inst
-		if !in.IsMemAccess() {
-			continue
-		}
-		fs := fnOf(di.Addr)
-		fs.Operands++
-		if !opt.CheckReads && !in.Writes() {
-			fs.SkippedReads++
-			continue
-		}
-		if opt.Elim && Eliminable(in.Mem) {
-			fs.ElimSyntactic++
-			continue
-		}
-		want[i] = true
-		if opt.ElimDom && !opt.Profile && in.Mem.Base != isa.RIP {
-			mode := rtlib.ModeRedzone
-			if opt.LowFat && (opt.AllowList == nil || opt.AllowList[di.Addr]) {
-				mode = rtlib.ModeFull
-			}
-			lo := int64(in.Mem.Disp)
-			cands = append(cands, cfg.CheckSite{
-				Inst: i, Mode: uint8(mode),
-				Lo: lo, Hi: lo + int64(in.MemWidth()),
-			})
-		}
-	}
-	if opt.ElimDom && !opt.Profile {
-		for i := range df.Redundant(cands) {
-			want[i] = false
-			fnOf(prog.Insts[i].Addr).ElimDominated++
-		}
-	}
-	for i, w := range want {
-		if w {
-			fnOf(prog.Insts[i].Addr).ChecksEmitted++
 		}
 	}
 

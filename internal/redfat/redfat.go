@@ -206,6 +206,95 @@ type site struct {
 	write bool
 }
 
+// decision is the site-selection outcome for one instruction.
+type decision uint8
+
+const (
+	noOperand     decision = iota // no memory operand
+	skippedRead                   // a read, and CheckReads is off
+	elimSyntactic                 // Eliminable: cannot reach the heap
+	elimDominated                 // covered by a dominating check
+	checked                       // receives a check
+)
+
+// selection is the outcome of site selection: one decision per
+// instruction, the site of every operand pass A selected (checked or
+// later dominated), and each dominating provider's eliminated dependents.
+type selection struct {
+	decision []decision
+	sites    map[int]*site
+	elimBy   map[int][]int // provider inst → eliminated dependents
+}
+
+// selectSites runs site selection over prog: pass A picks the operands
+// to check and decides their mode, pass A' drops the ones a dominating
+// check covers. df is needed only when opt.ElimDom is set without
+// opt.Profile.
+func selectSites(prog *cfg.Program, df *cfg.Dataflow, opt Options) *selection {
+	sel := &selection{
+		decision: make([]decision, len(prog.Insts)),
+		sites:    make(map[int]*site),
+		elimBy:   make(map[int][]int),
+	}
+
+	// Pass A: select sites and decide their check mode.
+	for i := range prog.Insts {
+		di := &prog.Insts[i]
+		in := &di.Inst
+		switch {
+		case !in.IsMemAccess():
+			continue
+		case !opt.CheckReads && !in.Writes():
+			sel.decision[i] = skippedRead
+			continue
+		case opt.Elim && Eliminable(in.Mem):
+			sel.decision[i] = elimSyntactic
+			continue
+		}
+		mode := rtlib.ModeRedzone
+		switch {
+		case opt.Profile:
+			mode = rtlib.ModeProfile
+		case opt.LowFat && (opt.AllowList == nil || opt.AllowList[di.Addr]):
+			mode = rtlib.ModeFull
+		}
+		sel.sites[i] = &site{idx: i, addr: di.Addr, inst: in, mode: mode,
+			write: in.Writes()}
+		sel.decision[i] = checked
+	}
+
+	// Pass A': dominator-based redundant-check elimination. A site whose
+	// address shape, mode and span are covered by an available dominating
+	// check is dropped; the provider protects it. Skipped in Profile
+	// mode (per-site execution statistics must stay complete). Under
+	// AbortOnError the guest-visible detections are identical: the
+	// provider executes first on every path and fails on a superset of
+	// the dropped check's failures.
+	if !opt.ElimDom || opt.Profile {
+		return sel
+	}
+	var cands []cfg.CheckSite
+	for i, d := range sel.decision {
+		if d != checked {
+			continue
+		}
+		s := sel.sites[i]
+		if s.inst.Mem.Base == isa.RIP {
+			continue // PC-relative shapes never repeat
+		}
+		lo := int64(s.inst.Mem.Disp)
+		cands = append(cands, cfg.CheckSite{
+			Inst: i, Mode: uint8(s.mode),
+			Lo: lo, Hi: lo + int64(s.inst.MemWidth()),
+		})
+	}
+	for i, w := range df.Redundant(cands) {
+		sel.decision[i] = elimDominated
+		sel.elimBy[w] = append(sel.elimBy[w], i)
+	}
+	return sel
+}
+
 // Harden instruments bin according to opt, returning the hardened binary
 // and a report. The input binary is not modified. Hardening an
 // already-hardened binary is rejected (double instrumentation would
@@ -243,69 +332,23 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 		}
 	}
 
-	// Pass A: select sites and decide their check mode.
-	siteOf := make(map[int]*site)
+	sel := selectSites(prog, df, opt)
+	siteOf := sel.sites
 	want := make([]bool, len(prog.Insts))
-	for i := range prog.Insts {
-		di := &prog.Insts[i]
-		in := &di.Inst
-		if !in.IsMemAccess() {
-			continue
+	for i, d := range sel.decision {
+		if d != noOperand {
+			rep.Operands++
 		}
-		rep.Operands++
-		if !opt.CheckReads && !in.Writes() {
+		switch d {
+		case skippedRead:
 			rep.SkippedReads++
-			continue
-		}
-		if opt.Elim && Eliminable(in.Mem) {
+		case elimSyntactic:
 			rep.Eliminated++
-			continue
-		}
-		mode := rtlib.ModeRedzone
-		switch {
-		case opt.Profile:
-			mode = rtlib.ModeProfile
-		case opt.LowFat && (opt.AllowList == nil || opt.AllowList[di.Addr]):
-			mode = rtlib.ModeFull
-		}
-		siteOf[i] = &site{idx: i, addr: di.Addr, inst: in, mode: mode,
-			write: in.Writes()}
-		want[i] = true
-		rep.Instrumented++
-	}
-
-	// Pass A': dominator-based redundant-check elimination. A site whose
-	// address shape, mode and span are covered by an available dominating
-	// check is dropped; the provider protects it. Skipped in Profile
-	// mode (per-site execution statistics must stay complete). Under
-	// AbortOnError the guest-visible detections are identical: the
-	// provider executes first on every path and fails on a superset of
-	// the dropped check's failures.
-	elimBy := make(map[int][]int) // provider inst → eliminated dependents
-	elimSites := make(map[int]*site)
-	if opt.ElimDom && !opt.Profile {
-		var cands []cfg.CheckSite
-		for i := range prog.Insts {
-			if !want[i] {
-				continue
-			}
-			s := siteOf[i]
-			if s.inst.Mem.Base == isa.RIP {
-				continue // PC-relative shapes never repeat
-			}
-			lo := int64(s.inst.Mem.Disp)
-			cands = append(cands, cfg.CheckSite{
-				Inst: i, Mode: uint8(s.mode),
-				Lo: lo, Hi: lo + int64(s.inst.MemWidth()),
-			})
-		}
-		for i, w := range df.Redundant(cands) {
-			want[i] = false
-			elimSites[i] = siteOf[i]
-			delete(siteOf, i)
-			elimBy[w] = append(elimBy[w], i)
+		case elimDominated:
 			rep.ElimDominated++
-			rep.Instrumented--
+		case checked:
+			want[i] = true
+			rep.Instrumented++
 		}
 	}
 
@@ -409,15 +452,14 @@ func Harden(bin *relf.Binary, opt Options) (*relf.Binary, *Report, error) {
 	// such dependents individually (their own bytes were never reserved,
 	// so this is best-effort; failures are reported as unprotected).
 	var repair []int
-	for w, deps := range elimBy {
+	for w, deps := range sel.elimBy {
 		if failed[w] {
 			repair = append(repair, deps...)
 		}
 	}
 	sort.Ints(repair)
 	for _, i := range repair {
-		s := elimSites[i]
-		siteOf[i] = s
+		s := siteOf[i]
 		if err := instrument([]int{i}); err != nil {
 			rep.FailedSites++
 			unprot = append(unprot, s.addr)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"redfat/internal/profile"
 	"redfat/internal/redfat"
 	"redfat/internal/rtlib"
 	"redfat/internal/telemetry"
@@ -51,17 +52,24 @@ var fastPathConfigs = []struct {
 }
 
 // runBoth executes the same binary under every engine configuration and
-// fails the test on any guest-visible divergence from the reference.
-func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, error)) {
+// fails the test on any guest-visible divergence from the reference. run
+// returns the check runtime of a hardened run (nil for a baseline run),
+// whose per-site stats must agree too: the allow-list is derived from
+// them.
+func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, *rtlib.Runtime, error)) {
 	t.Helper()
-	exec := func(noJIT bool) (*vm.VM, *telemetry.Snapshot, error) {
+	exec := func(noJIT bool) (*vm.VM, []rtlib.SiteStat, *telemetry.Snapshot, error) {
 		reg := telemetry.New()
-		v, err := run(rtlib.RunConfig{NoJIT: noJIT, Metrics: reg})
-		return v, stripHostOnly(reg.Snapshot()), err
+		v, rt, err := run(rtlib.RunConfig{NoJIT: noJIT, Metrics: reg})
+		var stats []rtlib.SiteStat
+		if rt != nil {
+			stats = rt.Stats
+		}
+		return v, stats, stripHostOnly(reg.Snapshot()), err
 	}
-	refVM, refTel, refErr := exec(fastPathConfigs[0].noJIT)
+	refVM, refStats, refTel, refErr := exec(fastPathConfigs[0].noJIT)
 	for _, c := range fastPathConfigs[1:] {
-		gotVM, gotTel, gotErr := exec(c.noJIT)
+		gotVM, gotStats, gotTel, gotErr := exec(c.noJIT)
 		label := name + "/" + c.name
 		if (refErr == nil) != (gotErr == nil) {
 			t.Fatalf("%s: error divergence: ref %v, got %v", label, refErr, gotErr)
@@ -84,15 +92,34 @@ func runBoth(t *testing.T, name string, run func(cfg rtlib.RunConfig) (*vm.VM, e
 		if !reflect.DeepEqual(refVM.Output, gotVM.Output) {
 			t.Errorf("%s: output differs", label)
 		}
+		if !reflect.DeepEqual(refStats, gotStats) {
+			t.Errorf("%s: per-site check stats differ:\nref: %+v\ngot: %+v", label, refStats, gotStats)
+		}
 		if !reflect.DeepEqual(refTel, gotTel) {
 			t.Errorf("%s: guest-derived telemetry differs:\nref: %+v\ngot: %+v", label, refTel, gotTel)
 		}
 	}
 }
 
+// identityHardenings are the hardening configurations of
+// TestBlockCacheIdentity's hardened leg: the default policy, the
+// profiling phase of ProfileAndHarden (Profile on, Merge off, no
+// dominator elimination), and Table 1's +batch column (elimination and
+// batching, no merging, no dominator elimination). The last two leave
+// same-plan checks close together inside hot traces.
+var identityHardenings = []struct {
+	name string
+	opt  redfat.Options
+}{
+	{"defaults", redfat.Defaults()},
+	{"profile", profile.PhaseOneOptions(redfat.Defaults())},
+	{"table1-batch", redfat.Options{LowFat: true, CheckReads: true, SizeCheck: true,
+		NoIndirect: true, Elim: true, Batch: true}},
+}
+
 // TestBlockCacheIdentity runs the whole workload suite — baseline and
-// fully hardened — under both engines and requires bit-identical guest
-// results.
+// hardened under each of identityHardenings — under both engines and
+// requires bit-identical guest results.
 func TestBlockCacheIdentity(t *testing.T) {
 	bms := workload.All()
 	if testing.Short() {
@@ -107,19 +134,21 @@ func TestBlockCacheIdentity(t *testing.T) {
 			t.Fatalf("%s: build: %v", cp.Name, err)
 		}
 		input := cp.RefInput()
-		runBoth(t, cp.Name+"/baseline", func(cfg rtlib.RunConfig) (*vm.VM, error) {
+		runBoth(t, cp.Name+"/baseline", func(cfg rtlib.RunConfig) (*vm.VM, *rtlib.Runtime, error) {
 			cfg.Input = input
-			return rtlib.RunBaseline(bin, cfg)
+			v, err := rtlib.RunBaseline(bin, cfg)
+			return v, nil, err
 		})
-		hard, _, err := redfat.Harden(bin, redfat.Defaults())
-		if err != nil {
-			t.Fatalf("%s: harden: %v", cp.Name, err)
+		for _, h := range identityHardenings {
+			hard, _, err := redfat.Harden(bin, h.opt)
+			if err != nil {
+				t.Fatalf("%s/%s: harden: %v", cp.Name, h.name, err)
+			}
+			runBoth(t, cp.Name+"/hardened/"+h.name, func(cfg rtlib.RunConfig) (*vm.VM, *rtlib.Runtime, error) {
+				cfg.Input = input
+				return rtlib.RunHardened(hard, cfg)
+			})
 		}
-		runBoth(t, cp.Name+"/hardened", func(cfg rtlib.RunConfig) (*vm.VM, error) {
-			cfg.Input = input
-			v, _, err := rtlib.RunHardened(hard, cfg)
-			return v, err
-		})
 	}
 }
 
@@ -188,10 +217,11 @@ func TestBlockCacheCycleBudgetIdentity(t *testing.T) {
 	}
 	input := cp.RefInput()
 	for _, budget := range []uint64{100, 1001, 54321, 300007} {
-		runBoth(t, "bzip2/budget", func(cfg rtlib.RunConfig) (*vm.VM, error) {
+		runBoth(t, "bzip2/budget", func(cfg rtlib.RunConfig) (*vm.VM, *rtlib.Runtime, error) {
 			cfg.Input = input
 			cfg.MaxCycles = budget
-			return rtlib.RunBaseline(bin, cfg)
+			v, err := rtlib.RunBaseline(bin, cfg)
+			return v, nil, err
 		})
 	}
 }

@@ -3,7 +3,7 @@ package rtlib
 // The check fast path: per-site constants the real RedFat specializes
 // into trampoline assembly at rewrite time are precomputed here once, at
 // Harden/load time (NewRuntime), instead of being re-derived on every
-// check execution. The handle hot path then reduces to: rebuild the
+// check execution. The execSite hot path then reduces to: rebuild the
 // access range from at most two register reads plus a baked-in static
 // offset, look up the cycle cost in a four-entry table, and run the
 // merged comparisons against precomputed bounds constants.

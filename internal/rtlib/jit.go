@@ -3,44 +3,25 @@ package rtlib
 // Fused check plans for the VM's superblock tier.
 //
 // The interpreter reaches a check through the RTCALL binding (Bindings →
-// handle). The superblock compiler instead asks VM.InlineCheck for a
-// declarative plan of the site so the check can stay on-trace as a fused
-// closure: the plan's address fields (copied from the precompiled
-// checkFast) form the elision key, MaxCost feeds the trace's worst-case
-// budget guard, and the two closures back the two execution shapes — a
-// leading site runs execSite (the full Fig. 4 check, publishing its
-// outcome), an elided follower runs forwardSite (the leader's verdict
-// replayed with the follower's own stats, cycles and report). Guest
-// cycle accounting and verdicts are bit-identical to the trampoline
-// path; only host-side dispatch differs.
+// execSite). The superblock compiler instead asks VM.InlineCheck for the
+// site's plan so the check can stay on-trace as a fused closure: MaxCost
+// feeds the trace's worst-case budget guard and Exec runs the same full
+// Fig. 4 check. Guest cycle accounting and verdicts are bit-identical to
+// the trampoline path; only host-side dispatch differs.
 
 import (
+	"slices"
+
 	"redfat/internal/relf"
 	"redfat/internal/vm"
 )
 
 // jitPlan builds the fusable plan for one site.
 func (rt *Runtime) jitPlan(arg uint32) *vm.JITCheck {
-	cf := &rt.fast[arg]
-	p := &vm.JITCheck{
-		BaseReg:   cf.baseReg,
-		IndexReg:  cf.indexReg,
-		Scale:     cf.scale,
-		Seg:       cf.seg,
-		StaticOff: cf.staticOff,
-		Length:    cf.length,
-		TryLowFat: cf.tryLowFat,
-		SizeCheck: cf.sizeCheck,
-		Profile:   cf.profile,
+	return &vm.JITCheck{
+		MaxCost: slices.Max(rt.fast[arg].costs[:]),
+		Exec:    func(v *vm.VM) error { return rt.execSite(v, arg) },
 	}
-	for _, cost := range cf.costs {
-		if cost > p.MaxCost {
-			p.MaxCost = cost
-		}
-	}
-	p.Exec = func(v *vm.VM, o *vm.CheckOutcome) error { return rt.execSite(v, arg, o) }
-	p.Forward = func(v *vm.VM, o *vm.CheckOutcome) error { return rt.forwardSite(v, arg, o) }
-	return p
 }
 
 // InstallInlineChecks points v.InlineCheck at the module→runtime binding

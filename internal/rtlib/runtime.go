@@ -123,20 +123,13 @@ func NewRuntime(bin *relf.Binary, h *redzone.Heap) (*Runtime, error) {
 
 // Bindings returns the host binding for the check routine.
 func (rt *Runtime) Bindings() vm.Bindings {
-	return vm.Bindings{CheckImport: rt.handle}
+	return vm.Bindings{CheckImport: rt.execSite}
 }
 
-// handle is the instrumented check of paper Fig. 4, executed when a
-// trampoline's RTCALL fires. arg is the site index.
-func (rt *Runtime) handle(v *vm.VM, arg uint32) error {
-	return rt.execSite(v, arg, nil)
-}
-
-// execSite is one full check execution. When o is non-nil (the site runs
-// as a fused superblock leader) the derived object base, fat outcomes,
-// metadata word and verdict class are published for elided followers;
-// behavior is otherwise identical to the trampoline path.
-func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
+// execSite is the instrumented check of paper Fig. 4, executed when a
+// trampoline's RTCALL fires or a superblock runs the site's fused check.
+// arg is the site index.
+func (rt *Runtime) execSite(v *vm.VM, arg uint32) error {
 	if int(arg) >= len(rt.Checks) {
 		return &vm.MemError{Kind: vm.ErrCorruptMeta, PC: v.RIP,
 			Note: "check with invalid site index"}
@@ -170,9 +163,6 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 	}
 	v.Cycles += cf.costs[fatIdx(fat, fallbackFat)]
 	if base == 0 {
-		if o != nil {
-			*o = vm.CheckOutcome{} // both paths non-fat: followers early-exit too
-		}
 		rt.Stats[arg].NonFat++
 		if rt.tel != nil {
 			rt.tel.nonfat.Inc()
@@ -190,31 +180,8 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 		size, wild = 0, true
 	}
 
-	// STEP (4): the checks. The class abstracts the verdict for elided
-	// followers (it is a pure function of the access range and heap
-	// state); kind folds in this site's own read/write direction.
-	var kind vm.MemErrorKind
-	class := vm.CheckOK
-	bad := false
-	switch {
-	case cf.sizeCheck && lowfat.Size(base) != lowfat.SizeMax &&
-		size > lowfat.Size(base)-redzone.Size:
-		kind, bad, class = vm.ErrCorruptMeta, true, vm.CheckMeta
-	case size == 0:
-		// Free state is encoded as SIZE=0; the merged bounds check
-		// always fails, i.e. a use-after-free (or a wild pointer into
-		// an unallocated slot, which reads as zero).
-		kind, bad, class = vm.ErrUseAfterFree, true, vm.CheckUAF
-		if wild {
-			kind, class = cf.oobKind, vm.CheckOOB
-		}
-	case lb < base+redzone.Size || ub > base+redzone.Size+size:
-		kind, bad, class = cf.oobKind, true, vm.CheckOOB
-	}
-	if o != nil {
-		*o = vm.CheckOutcome{Base: base, Fat: fat, FallbackFat: fallbackFat,
-			Size: size, Class: class}
-	}
+	// STEP (4): the checks.
+	kind, bad := verdict(base, size, lb, ub, wild, cf.sizeCheck, cf.oobKind)
 
 	// Attribute the verdict: a violation found via base(ptr) is the
 	// LowFat component's, one found via the fallback base(LB) is the
@@ -264,98 +231,52 @@ func (rt *Runtime) execSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
 	})
 }
 
-// forwardSite replays a leading site's published outcome at an elided
-// follower. The superblock tier only elides a site when its access plan
-// is identical to the leader's and nothing between them wrote the plan
-// registers or guest memory, so the base derivation, metadata word and
-// verdict class are provably the leader's; what remains is this site's
-// own accounting — per-site stats, the charged cycle cost, telemetry,
-// and an error report with the site's own read/write kind and note.
-func (rt *Runtime) forwardSite(v *vm.VM, arg uint32, o *vm.CheckOutcome) error {
-	c := &rt.Checks[arg]
-	cf := &rt.fast[arg]
-	rt.Stats[arg].Execs++
-	if rt.tel != nil {
-		rt.tel.execs.Inc()
-	}
-	v.Cycles += cf.costs[fatIdx(o.Fat, o.FallbackFat)]
-	if !o.Fat && !o.FallbackFat {
-		rt.Stats[arg].NonFat++
-		if rt.tel != nil {
-			rt.tel.nonfat.Inc()
+// verdict is the Fig. 4 step-4 classification of the access [lb, ub)
+// against the object whose redzone header at base reads size (wild: the
+// header page is unmapped). A size-check failure is corrupted metadata;
+// SIZE=0 encodes the free state, so the merged bounds check fails as a
+// use-after-free — or as out-of-bounds for a wild pointer into a slot
+// never handed out, which reads as zero; otherwise the range must lie
+// inside the object. oob is the caller's out-of-bounds kind (its
+// read/write direction); bad is false for an in-bounds access.
+func verdict(base, size, lb, ub uint64, wild, sizeCheck bool, oob vm.MemErrorKind) (kind vm.MemErrorKind, bad bool) {
+	switch {
+	case sizeCheck && lowfat.Size(base) != lowfat.SizeMax &&
+		size > lowfat.Size(base)-redzone.Size:
+		return vm.ErrCorruptMeta, true
+	case size == 0:
+		if wild {
+			return oob, true
 		}
-		return nil
+		return vm.ErrUseAfterFree, true
+	case lb < base+redzone.Size || ub > base+redzone.Size+size:
+		return oob, true
 	}
-	// The plan registers are unchanged since the leader ran, so this
-	// recomputes the leader's lb — two register reads, no base lookup.
-	_, lb, _ := cf.accessRange(v)
+	return 0, false
+}
 
-	var kind vm.MemErrorKind
-	bad := o.Class != vm.CheckOK
-	switch o.Class {
-	case vm.CheckMeta:
-		kind = vm.ErrCorruptMeta
-	case vm.CheckUAF:
-		kind = vm.ErrUseAfterFree
-	case vm.CheckOOB:
-		kind = cf.oobKind
+// allocSite looks up the allocation record of the object whose redzone
+// header sits at base, via the object ID stored in the header, together
+// with the self-test under-allocation tag a detection note carries.
+func allocSite(h *redzone.Heap, base uint64) (allocPC, objSize, freePC uint64, tag string, ok bool) {
+	id, err := h.Mem.Load(base+8, 8)
+	if err != nil {
+		return 0, 0, 0, "", false
 	}
-
-	component := ""
-	if bad {
-		if o.Fat {
-			component = "lowfat"
-			rt.Stats[arg].LowFatFails++
-			if rt.tel != nil {
-				rt.tel.lowfatFail.Inc()
-			}
-		} else {
-			component = "redzone"
-			rt.Stats[arg].RedzoneFails++
-			if rt.tel != nil {
-				rt.tel.redzoneFail.Inc()
-			}
-		}
-		if rt.tracer != nil {
-			rt.tracer.RecordAt(telemetry.EvCheckFail, c.PC, lb, uint64(arg), v.Cycles)
-		}
-	} else {
-		if rt.tel != nil {
-			rt.tel.passes.Inc()
-		}
-		if rt.tracer != nil {
-			rt.tracer.RecordAt(telemetry.EvCheckPass, c.PC, lb, uint64(arg), v.Cycles)
-		}
+	allocPC, objSize, freePC, ok = h.SiteOf(id)
+	if ok && h.UnderAllocated(id) {
+		tag = " (self-test under-allocation)"
 	}
-
-	if cf.profile || !bad {
-		return nil
-	}
-	return v.Report(vm.MemError{
-		Kind:      kind,
-		Addr:      lb,
-		PC:        c.PC,
-		Site:      arg,
-		Component: component,
-		Note:      rt.describe(c, o.Base, o.Size, lb),
-	})
+	return allocPC, objSize, freePC, tag, ok
 }
 
 // describe builds an ASAN-style diagnostic line for a detected error,
 // using the allocation-site bookkeeping of the RedFat heap.
 func (rt *Runtime) describe(c *Check, base, size, lb uint64) string {
 	desc := fmt.Sprintf("%s check at operand %s", c.Mode, c.Operand.String())
-	id, err := rt.Heap.Mem.Load(base+8, 8)
-	if err != nil {
-		return desc
-	}
-	allocPC, objSize, freePC, ok := rt.Heap.SiteOf(id)
+	allocPC, objSize, freePC, tag, ok := allocSite(rt.Heap, base)
 	if !ok {
 		return desc
-	}
-	tag := ""
-	if rt.Heap.UnderAllocated(id) {
-		tag = " (self-test under-allocation)"
 	}
 	if size == 0 && freePC != 0 {
 		return fmt.Sprintf("%s; object (%d bytes, allocated at %#x) freed at %#x%s",

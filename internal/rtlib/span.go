@@ -53,28 +53,12 @@ func checkSpan(v *vm.VM, h *redzone.Heap, op string, ptr, n uint64, write bool) 
 		size, wild = 0, true
 	}
 
-	kind := vm.ErrOOBRead
+	oob := vm.ErrOOBRead
 	if write {
-		kind = vm.ErrOOBWrite
+		oob = vm.ErrOOBWrite
 	}
-	fault := uint64(0)
-	switch {
-	case lowfat.Size(base) != lowfat.SizeMax && size > lowfat.Size(base)-redzone.Size:
-		kind = vm.ErrCorruptMeta
-		fault = base
-	case size == 0:
-		if !wild {
-			kind = vm.ErrUseAfterFree
-		}
-		fault = lb
-	case lb < base+redzone.Size:
-		fault = lb
-	case ub > base+redzone.Size+size:
-		fault = base + redzone.Size + size
-		if lb > fault {
-			fault = lb
-		}
-	default:
+	kind, bad := verdict(base, size, lb, ub, wild, true, oob)
+	if !bad {
 		// Span fully inside the live object. Canary mode additionally
 		// verifies the slack bytes the span borders were not smashed.
 		if smash, ok := h.CheckCanary(base); !ok {
@@ -90,6 +74,15 @@ func checkSpan(v *vm.VM, h *redzone.Heap, op string, ptr, n uint64, write bool) 
 			}
 		}
 		return nil
+	}
+	// The fault address is the corrupted header, or the first byte of
+	// the span outside the object.
+	fault := lb
+	switch {
+	case kind == vm.ErrCorruptMeta:
+		fault = base
+	case size != 0 && lb >= base+redzone.Size:
+		fault = max(base+redzone.Size+size, lb)
 	}
 
 	v.CountLibcSpanFail()
@@ -117,19 +110,11 @@ var errSpan = fmt.Errorf("rtlib: span check failed")
 func spanAbort(err error) bool { return err != nil && err != errSpan }
 
 // describeSpan builds the allocation-site note for a span-check
-// detection, mirroring Runtime.describe for per-access checks.
+// detection.
 func describeSpan(h *redzone.Heap, op string, base, size, addr uint64) string {
-	id, err := h.Mem.Load(base+8, 8)
-	if err != nil || id == 0 {
-		return fmt.Sprintf("span check at %s", op)
-	}
-	allocPC, objSize, freePC, ok := h.SiteOf(id)
+	allocPC, objSize, freePC, tag, ok := allocSite(h, base)
 	if !ok {
 		return fmt.Sprintf("span check at %s", op)
-	}
-	tag := ""
-	if h.UnderAllocated(id) {
-		tag = " (self-test under-allocation)"
 	}
 	if size == 0 {
 		return fmt.Sprintf("span check at %s; access to a %d-byte object freed at %#x (allocated at %#x)%s",

@@ -4,25 +4,18 @@ package vm
 // from a chained block sequence. analyzeTrace walks the chain rooted at
 // a hot block, mirrors the interpreter's cost model per instruction
 // (including the partial charges of every fault point), predicts
-// conditional branches from the chain slots, and then runs two
-// optimization analyses over the straight line:
-//
-//   - markDeadFlags: per-flag backward liveness. A step's condition-flag
-//     update is elided when no flag it may write is observed (by a
-//     conditional jump or PUSHF) before being unconditionally
-//     overwritten, on any path that materializes flags. Flags are forced
-//     live at the trace end and at every side exit — those resume in the
-//     interpreter — but not at fault exits, where the run terminates and
-//     flags are unobservable (nothing outside the VM reads them).
-//
-//   - elideChecks: available-checks within the trace. A fused check site
-//     whose access plan matches an earlier site's, with no intervening
-//     write to the plan's registers and no intervening guest store, is
-//     downgraded to forwarding the leader's outcome.
-//
-// Both read the instructions' exact effects from isa.Inst (inside a
-// trace every successor is explicit, so no callee or patch target is
-// opaque the way it is to internal/cfg's whole-program view).
+// conditional branches from the chain slots, and then runs one
+// optimization analysis over the straight line, markDeadFlags: per-flag
+// backward liveness. A step's condition-flag update is elided when no
+// flag it may write is observed (by a conditional jump or PUSHF) before
+// being unconditionally overwritten, on any path that materializes
+// flags. Flags are forced live at the trace end and at every side exit
+// — those resume in the interpreter — but not at fault exits, where the
+// run terminates and flags are unobservable (nothing outside the VM
+// reads them). It reads the instructions' exact flag effects from
+// isa.Inst (inside a trace every successor is explicit, so no callee or
+// patch target is opaque the way it is to internal/cfg's whole-program
+// view).
 //
 // Everything the phase decides is recorded in TraceInfo/stepAux; the
 // emitter compiles from the record alone, and internal/verify re-derives
@@ -280,14 +273,7 @@ func (tb *traceBuilder) step(b *block, pc uint64, in *isa.Inst) (ok, done bool) 
 			return false, false // not an instrumented check: stay in tier 0
 		}
 		s := tb.addStep(pc, in, next, base)
-		tb.info.Steps[s].Check = &TraceCheck{
-			Arg: arg, ImportIdx: idx, Leader: -1,
-			BaseReg: plan.BaseReg, IndexReg: plan.IndexReg,
-			Scale: plan.Scale, Seg: plan.Seg,
-			StaticOff: plan.StaticOff, Length: plan.Length,
-			TryLowFat: plan.TryLowFat, SizeCheck: plan.SizeCheck,
-			Profile: plan.Profile, MaxCost: plan.MaxCost,
-		}
+		tb.info.Steps[s].Check = &TraceCheck{Arg: arg, ImportIdx: idx, MaxCost: plan.MaxCost}
 		tb.aux[s].plan = plan
 		// An aborting detection (or corrupt-meta error) terminates the
 		// run; the handler's dynamic cycles are charged by the closure.
@@ -376,8 +362,7 @@ walk:
 	if len(tb.info.Steps) < minTraceInsts {
 		return nil, nil
 	}
-	markDeadFlags(tb.info, tb.aux)
-	elideChecks(tb.info, tb.aux)
+	markDeadFlags(tb.info)
 	finalizeCosts(tb.info)
 	return tb.info, tb.aux
 }
@@ -387,7 +372,7 @@ walk:
 // forced to all-live after the last step and after any step with a side
 // exit (both resume in the interpreter with materialized flags); fault
 // exits terminate the run and do not force liveness.
-func markDeadFlags(info *TraceInfo, aux []stepAux) {
+func markDeadFlags(info *TraceInfo) {
 	sideAt := make([]bool, len(info.Steps))
 	for i := range info.Exits {
 		if info.Exits[i].Kind == ExitSide {
@@ -404,49 +389,6 @@ func markDeadFlags(info *TraceInfo, aux []stepAux) {
 			st.FlagsElided = true
 		}
 		live = (live &^ st.Inst.FlagsKilled()) | st.Inst.FlagsRead()
-	}
-}
-
-// elideChecks runs available-checks over the trace: a later site with a
-// plan identical to a still-valid leader forwards the leader's outcome.
-// A leader dies when any plan register is overwritten or any guest
-// store occurs (the metadata load could change).
-func elideChecks(info *TraceInfo, aux []stepAux) {
-	var leaders []int
-	slots := 0
-	for i := range info.Steps {
-		st := &info.Steps[i]
-		if c := st.Check; c != nil {
-			p := aux[i].plan
-			elided := false
-			for _, l := range leaders {
-				if aux[l].plan.samePlan(p) {
-					c.Elided, c.Leader, c.Slot = true, l, info.Steps[l].Check.Slot
-					elided = true
-					break
-				}
-			}
-			if !elided {
-				c.Slot = slots
-				slots++
-				leaders = append(leaders, i)
-			}
-			continue
-		}
-		if st.Inst.StoresMem() {
-			leaders = leaders[:0]
-			continue
-		}
-		if regs := st.Inst.RegsWritten(); regs != 0 {
-			kept := leaders[:0]
-			for _, l := range leaders {
-				p := aux[l].plan
-				if !regs.Has(p.BaseReg) && !regs.Has(p.IndexReg) {
-					kept = append(kept, l)
-				}
-			}
-			leaders = kept
-		}
 	}
 }
 

@@ -678,21 +678,15 @@ func (v *VM) emitStep(t *trace, info *TraceInfo, aux []stepAux, i int) jstep {
 		}
 
 	case isa.RTCALL:
-		plan := ax.plan
-		c := st.Check
-		if plan == nil || c == nil {
+		if ax.plan == nil || st.Check == nil {
 			return nil
 		}
-		exec := plan.Exec
-		if c.Elided {
-			exec = plan.Forward
-		}
-		o := &t.outc[c.Slot]
+		exec := ax.plan.Exec
 		f1 := ax.exits[0]
 		return func(j *jctx) int {
 			v.RIP = next // handlers attribute errors to the resume RIP
 			before := v.Cycles
-			err := exec(v, o)
+			err := exec(v)
 			if v.tel != nil {
 				cost := v.Cycles - before
 				v.tel.rtcalls.Inc()
@@ -818,13 +812,6 @@ func (v *VM) emitTrace(info *TraceInfo, aux []stepAux) *trace {
 		maxCost:  info.MaxCost,
 		info:     info,
 	}
-	slots := 0
-	for i := range info.Steps {
-		if c := info.Steps[i].Check; c != nil && c.Slot+1 > slots {
-			slots = c.Slot + 1
-		}
-	}
-	t.outc = make([]CheckOutcome, slots)
 	t.exits = make([]traceExit, len(info.Exits))
 	for i := range info.Exits {
 		e := &info.Exits[i]

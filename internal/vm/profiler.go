@@ -96,9 +96,12 @@ func (p *GuestProfiler) maybeSample(v *VM, pc uint64) {
 	p.total += weight
 	p.count++
 
-	stack := make([]uint64, 0, p.depth())
+	depth := p.depth()
+	stack := make([]uint64, 0, depth)
 	stack = append(stack, pc)
-	stack = append(stack, v.Backtrace(p.depth()-1)...)
+	if depth > 1 { // Backtrace(0) would mean its default depth
+		stack = append(stack, v.Backtrace(depth-1)...)
+	}
 
 	key := stackKey(stack)
 	b := p.buckets[key]
