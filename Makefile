@@ -43,13 +43,16 @@ race:
 # redfat.Run must stay within 64 KiB and 160 allocations of host memory
 # per run (TestRunFixedCostBudget: allocation deltas are deterministic,
 # so this per-run fixed-cost guard is absolute yet stable on loaded
-# hosts). The same tests run as part of `make test` / `make check`;
-# `-short` skips them.
+# hosts), and rewriting a Chrome-like binary (Harden plus
+# VerifyHardened on kraken.Build(2000)) must stay within 448 B and 0.9
+# allocations of host memory per text instruction
+# (TestRewriteCostBudget, deterministic for the same reason). The same
+# tests run as part of `make test` / `make check`; `-short` skips them.
 perf-smoke:
 	$(GO) test -run TestPerfSmokeTLB -v ./internal/mem/
 	$(GO) test -run 'TestPerfSmokeJIT|TestPerfSmokeFlight' -v ./internal/vm/
 	$(GO) test -run TestPerfSmokeLibcSpan -v ./internal/bench/
-	$(GO) test -run TestRunFixedCostBudget -v .
+	$(GO) test -run 'TestRunFixedCostBudget|TestRewriteCostBudget' -v .
 
 # trace-smoke drives the forensics/profiling CLI flags end to end and
 # validates that the emitted Chrome trace JSON and folded stacks parse.
@@ -98,9 +101,11 @@ bench-history:
 # (FuzzMemOps), the strict .rf.config decoder (FuzzDecodeConfig), the
 # .rf.patch/.rf.origins and .rf.jt section-table decoders
 # (FuzzDecodePatchTable, FuzzDecodeJumpTables), the RELF image codec
-# (FuzzUnmarshal) and the runpack tarball reader (FuzzOpenTar). Not part
-# of check, where
-# `go test` already replays the seed corpora under testdata/fuzz/.
+# (FuzzUnmarshal), the runpack tarball reader (FuzzOpenTar), and the
+# disassembler and graph (FuzzDisassemble: arbitrary text at an arbitrary
+# base through Disassemble, the dataflow engine and RedundantChecks; its
+# Chrome-like seed is large, so minimisation is capped at 1s). Not part
+# of check, where `go test` already replays the seed corpora.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeEncode$$' -fuzztime 10s ./internal/isa/
 	$(GO) test -run '^$$' -fuzz '^FuzzMemOps$$' -fuzztime 10s ./internal/mem/
@@ -109,6 +114,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJumpTables$$' -fuzztime 10s ./internal/relf/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshal$$' -fuzztime 10s ./internal/relf/
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenTar$$' -fuzztime 10s ./internal/runpack/
+	$(GO) test -run '^$$' -fuzz '^FuzzDisassemble$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/cfg/
 
 # loc prints the root module's Go line counts, non-test and test, leaving
 # out the e2ebench module and its build directory: the figure of merit

@@ -29,6 +29,52 @@ type availFact struct {
 	Lo, Hi  int64
 }
 
+// keyedFact is one entry of a fact set.
+type keyedFact struct {
+	Key  CheckKey
+	Fact availFact
+}
+
+// facts is the analysis state at a program point: at most one fact per
+// CheckKey. A point holds few facts (one per live address shape), so a
+// linear scan of a slice beats a hash map.
+type facts []keyedFact
+
+func (fs facts) lookup(k CheckKey) (availFact, bool) {
+	for i := range fs {
+		if fs[i].Key == k {
+			return fs[i].Fact, true
+		}
+	}
+	return availFact{}, false
+}
+
+func (fs facts) set(k CheckKey, f availFact) facts {
+	for i := range fs {
+		if fs[i].Key == k {
+			fs[i].Fact = f
+			return fs
+		}
+	}
+	return append(fs, keyedFact{k, f})
+}
+
+// equal reports whether fs and o hold the same facts, in any order.
+func (fs facts) equal(o facts) bool {
+	if len(fs) != len(o) {
+		return false
+	}
+	for _, e := range fs {
+		if f, ok := o.lookup(e.Key); !ok || f != e.Fact {
+			return false
+		}
+	}
+	return true
+}
+
+// clone returns a copy of fs with its own backing array (nil if empty).
+func (fs facts) clone() facts { return append(facts(nil), fs...) }
+
 // Avail is the forward "available checks" analysis. The domain maps
 // each CheckKey to at most one availFact; the transfer function kills a
 // key when any of its address registers may be written (RegsWritten,
@@ -41,9 +87,9 @@ type availFact struct {
 // the join point, since facts are born only at their witness.
 type Avail struct {
 	g     *Graph
-	gens  map[int]CheckSite // inst index → generating site
-	in    []map[CheckKey]availFact
-	dirty []bool
+	sites []CheckSite
+	gen   []int32 // inst index → index into sites + 1; 0 = no site
+	in    []facts // block id → facts at block entry; nil if never reached
 }
 
 // siteKey derives the CheckKey of a site from its instruction operand.
@@ -68,19 +114,19 @@ func (p *Program) siteKey(s CheckSite) (CheckKey, bool) {
 func NewAvail(g *Graph, gens []CheckSite) *Avail {
 	av := &Avail{
 		g:     g,
-		gens:  make(map[int]CheckSite, len(gens)),
-		in:    make([]map[CheckKey]availFact, len(g.Blocks)),
-		dirty: make([]bool, len(g.Blocks)),
+		sites: gens,
+		gen:   make([]int32, len(g.Prog.Insts)),
+		in:    make([]facts, len(g.Blocks)),
 	}
-	for _, s := range gens {
-		av.gens[s.Inst] = s
+	for k, s := range gens {
+		av.gen[s.Inst] = int32(k) + 1
 	}
 	av.solve()
 	return av
 }
 
-// top is the ⊤ lattice value marker: a nil map in av.in means "not yet
-// visited" (all facts), while an empty non-nil map means "no facts".
+// solve runs the worklist to the greatest fixpoint. A block whose out
+// state is not yet computed is ⊤ (all facts), neutral for the meet.
 func (av *Avail) solve() {
 	g := av.g
 	isEntry := make([]bool, len(g.Blocks))
@@ -88,11 +134,11 @@ func (av *Avail) solve() {
 	inWork := make([]bool, len(g.Blocks))
 	for _, e := range g.Entries {
 		isEntry[e] = true
-		av.in[e] = map[CheckKey]availFact{}
 		work = append(work, e)
 		inWork[e] = true
 	}
-	out := make([]map[CheckKey]availFact, len(g.Blocks))
+	out := make([]facts, len(g.Blocks))
+	done := make([]bool, len(g.Blocks)) // out[b] computed
 
 	for len(work) > 0 {
 		b := work[0]
@@ -101,42 +147,39 @@ func (av *Avail) solve() {
 
 		// Meet over predecessors (entries additionally meet with ∅
 		// from the virtual root, i.e. their in-state stays empty).
-		var in map[CheckKey]availFact
-		if isEntry[b] {
-			in = map[CheckKey]availFact{}
-		} else {
+		var in facts
+		if !isEntry[b] {
+			met := false
 			for _, p := range g.Blocks[b].Preds {
-				po := out[p]
-				if po == nil {
+				if !done[p] {
 					continue // unvisited predecessor: ⊤, neutral for meet
 				}
-				if in == nil {
-					in = make(map[CheckKey]availFact, len(po))
-					for k, f := range po {
-						in[k] = f
-					}
+				if !met {
+					in, met = out[p].clone(), true
 					continue
 				}
-				for k, f := range in {
-					if of, ok := po[k]; !ok || of != f {
-						delete(in, k)
+				kept := in[:0]
+				for _, e := range in {
+					if f, ok := out[p].lookup(e.Key); ok && f == e.Fact {
+						kept = append(kept, e)
 					}
 				}
+				in = kept
 			}
-			if in == nil {
+			if !met {
 				continue // no predecessor visited yet
 			}
 		}
 
-		if av.in[b] != nil && factsEqual(av.in[b], in) && out[b] != nil {
+		if done[b] && av.in[b].equal(in) {
 			continue
 		}
 		av.in[b] = in
 		newOut := av.transferBlock(b, in)
-		if out[b] != nil && factsEqual(out[b], newOut) {
+		if done[b] && out[b].equal(newOut) {
 			continue
 		}
-		out[b] = newOut
+		out[b], done[b] = newOut, true
 		for _, s := range g.Blocks[b].Succs {
 			if !inWork[s] {
 				inWork[s] = true
@@ -144,51 +187,38 @@ func (av *Avail) solve() {
 			}
 		}
 	}
-	// Blocks never visited keep in == nil; treat as ∅ at query time.
+	// Blocks never visited keep in == nil: ∅ at query time.
 }
 
-func factsEqual(a, b map[CheckKey]availFact) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, f := range a {
-		if of, ok := b[k]; !ok || of != f {
-			return false
-		}
-	}
-	return true
-}
-
-// transferBlock pushes the fact map through one block.
-func (av *Avail) transferBlock(b int, in map[CheckKey]availFact) map[CheckKey]availFact {
-	facts := make(map[CheckKey]availFact, len(in))
-	for k, f := range in {
-		facts[k] = f
-	}
+// transferBlock pushes a fact set through one block.
+func (av *Avail) transferBlock(b int, in facts) facts {
+	fs := in.clone()
 	blk := &av.g.Blocks[b]
 	for j := blk.Start; j < blk.End; j++ {
-		av.transferInst(j, facts, nil)
+		fs = av.transferInst(j, fs, nil)
 	}
-	return facts
+	return fs
 }
 
-// transferInst applies instruction j to the fact map. If onSite is
-// non-nil it is called for the site generated at j (before the gen),
-// with the fact currently available for the site's key, so callers can
-// observe coverage exactly as the dataflow sees it.
-func (av *Avail) transferInst(j int, facts map[CheckKey]availFact, onSite func(s CheckSite, f availFact, ok bool)) {
+// transferInst applies instruction j to the fact set, in place, and
+// returns the result. If onSite is non-nil it is called for the site
+// generated at j (before the gen), with the fact currently available for
+// the site's key, so callers can observe coverage exactly as the
+// dataflow sees it.
+func (av *Avail) transferInst(j int, fs facts, onSite func(s CheckSite, f availFact, ok bool)) facts {
 	p := av.g.Prog
 	in := &p.Insts[j].Inst
 
 	// The check conceptually executes before the instruction's own
 	// effects, so gen precedes the kill.
-	if s, ok := av.gens[j]; ok {
+	if g := av.gen[j]; g != 0 {
+		s := av.sites[g-1]
 		if k, keyOK := p.siteKey(s); keyOK {
 			if onSite != nil {
-				f, have := facts[k]
+				f, have := fs.lookup(k)
 				onSite(s, f, have)
 			}
-			facts[k] = availFact{Witness: s.Inst, Lo: s.Lo, Hi: s.Hi}
+			fs = fs.set(k, availFact{Witness: s.Inst, Lo: s.Lo, Hi: s.Hi})
 		} else if onSite != nil {
 			onSite(s, availFact{}, false)
 		}
@@ -197,32 +227,29 @@ func (av *Avail) transferInst(j int, facts map[CheckKey]availFact, onSite func(s
 	switch in.Op {
 	case isa.CALL, isa.RTCALL, isa.TRAP:
 		// The callee may free or reallocate: no check survives.
-		for k := range facts {
-			delete(facts, k)
-		}
-		return
+		return fs[:0]
 	}
 	if w := RegsWritten(in); w != 0 {
-		for k := range facts {
-			if w.Has(k.Base) || w.Has(k.Index) {
-				delete(facts, k)
+		kept := fs[:0]
+		for _, e := range fs {
+			if !w.Has(e.Key.Base) && !w.Has(e.Key.Index) {
+				kept = append(kept, e)
 			}
 		}
+		fs = kept
 	}
+	return fs
 }
 
-// replayTo returns the fact map holding immediately before instruction
+// replayTo returns the fact set holding immediately before instruction
 // i (before i's own gen).
-func (av *Avail) replayTo(i int) map[CheckKey]availFact {
+func (av *Avail) replayTo(i int) facts {
 	b := av.g.BlockOf[i]
-	facts := make(map[CheckKey]availFact)
-	for k, f := range av.in[b] {
-		facts[k] = f
-	}
+	fs := av.in[b].clone()
 	for j := av.g.Blocks[b].Start; j < i; j++ {
-		av.transferInst(j, facts, nil)
+		fs = av.transferInst(j, fs, nil)
 	}
-	return facts
+	return fs
 }
 
 // CoverageAt reports whether the operand span of s is covered by an
@@ -232,8 +259,7 @@ func (av *Avail) CoverageAt(s CheckSite) (witness int, ok bool) {
 	if !keyOK {
 		return 0, false
 	}
-	facts := av.replayTo(s.Inst)
-	f, have := facts[k]
+	f, have := av.replayTo(s.Inst).lookup(k)
 	if !have || f.Lo > s.Lo || f.Hi < s.Hi {
 		return 0, false
 	}
@@ -264,12 +290,9 @@ func RedundantChecks(g *Graph, dom *DomTree, sites []CheckSite) map[int]int {
 		redundant[s.Inst] = f.Witness
 	}
 	for b := range g.Blocks {
-		facts := make(map[CheckKey]availFact, len(av.in[b]))
-		for k, f := range av.in[b] {
-			facts[k] = f
-		}
+		fs := av.in[b].clone()
 		for j := g.Blocks[b].Start; j < g.Blocks[b].End; j++ {
-			av.transferInst(j, facts, record)
+			fs = av.transferInst(j, fs, record)
 		}
 	}
 

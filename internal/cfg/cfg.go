@@ -14,7 +14,9 @@ package cfg
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 
 	"redfat/internal/isa"
 	"redfat/internal/relf"
@@ -77,13 +79,40 @@ type DecodedInst struct {
 }
 
 // Program is a disassembled text section with recovered control flow.
+// Lookups by address go through dense tables over text offsets, so the
+// program costs a few bytes per text byte instead of a hash-map entry
+// per instruction.
 type Program struct {
 	Binary *relf.Binary
 	Insts  []DecodedInst
-	index  map[uint64]int // address → Insts index
 
-	// Leaders marks basic-block leader addresses (over-approximated).
-	Leaders map[uint64]bool
+	base    uint64  // text address: offset 0 of index
+	index   []int32 // text offset → Insts index + 1; 0 = not an instruction start
+	leaders textSet // basic-block leaders (over-approximated)
+}
+
+// ErrEmptyText reports a text section without a single instruction:
+// there is no program to analyse or rewrite.
+var ErrEmptyText = errors.New("cfg: text section is empty")
+
+// textSet is a bitset over the byte addresses of a text section.
+type textSet struct {
+	base uint64
+	bits []uint64
+}
+
+func newTextSet(base uint64, size int) textSet {
+	return textSet{base: base, bits: make([]uint64, (size+63)/64)}
+}
+
+// add inserts a, which must lie in the text.
+func (s textSet) add(a uint64) { off := a - s.base; s.bits[off>>6] |= 1 << (off & 63) }
+
+// has reports whether a is in the set. Addresses past the text, or below
+// it (the offset wraps), are not.
+func (s textSet) has(a uint64) bool {
+	off := a - s.base
+	return off>>6 < uint64(len(s.bits)) && s.bits[off>>6]&(1<<(off&63)) != 0
 }
 
 // Disassemble linearly decodes the binary's text section and recovers
@@ -95,20 +124,28 @@ func Disassemble(bin *relf.Binary) (*Program, error) {
 	if text == nil {
 		return nil, fmt.Errorf("cfg: binary has no text section")
 	}
+	data := text.Data
+	if len(data) == 0 {
+		return nil, ErrEmptyText
+	}
+	if len(data) > math.MaxInt32 {
+		return nil, fmt.Errorf("cfg: text section of %d bytes is too large", len(data))
+	}
 	p := &Program{
 		Binary:  bin,
-		index:   make(map[uint64]int),
-		Leaders: make(map[uint64]bool),
+		Insts:   make([]DecodedInst, 0, len(data)/2+1), // ~2.5 bytes per instruction in dense code
+		base:    text.Addr,
+		index:   make([]int32, len(data)),
+		leaders: newTextSet(text.Addr, len(data)),
 	}
-	data := text.Data
 	addr := text.Addr
 	for off := 0; off < len(data); {
 		in, err := isa.Decode(data[off:])
 		if err != nil {
 			return nil, fmt.Errorf("cfg: disassembly failed at %#x: %w", addr, err)
 		}
-		p.index[addr] = len(p.Insts)
 		p.Insts = append(p.Insts, DecodedInst{Addr: addr, Inst: in})
+		p.index[off] = int32(len(p.Insts))
 		off += int(in.Len)
 		addr += uint64(in.Len)
 	}
@@ -118,15 +155,9 @@ func Disassemble(bin *relf.Binary) (*Program, error) {
 
 // recoverLeaders computes the conservative leader set.
 func (p *Program) recoverLeaders() {
-	textLow := p.Insts[0].Addr
-	textHigh := textLow
-	if n := len(p.Insts); n > 0 {
-		last := p.Insts[n-1]
-		textHigh = last.Addr + uint64(last.Inst.Len)
-	}
 	mark := func(a uint64) {
-		if _, ok := p.index[a]; ok {
-			p.Leaders[a] = true
+		if _, ok := p.InstAt(a); ok {
+			p.leaders.add(a)
 		}
 	}
 
@@ -156,14 +187,10 @@ func (p *Program) recoverLeaders() {
 		// any immediate that looks like a text address may be an
 		// address-taken jump/call target.
 		if in.Form == isa.FRI || in.Form == isa.FMI {
-			if v := uint64(in.Imm); v >= textLow && v < textHigh {
-				mark(v)
-			}
+			mark(uint64(in.Imm))
 		}
 		if in.HasMem() && in.Mem.IsAbsolute() {
-			if v := uint64(uint32(in.Mem.Disp)); v >= textLow && v < textHigh {
-				mark(v)
-			}
+			mark(uint64(uint32(in.Mem.Disp)))
 		}
 		// Landing pads are indirect-branch targets by construction.
 		if in.Op == isa.LPAD {
@@ -195,14 +222,17 @@ func (p *Program) recoverLeaders() {
 	}
 }
 
-// InstAt returns the index of the instruction at addr.
+// InstAt returns the index of the instruction starting at addr.
 func (p *Program) InstAt(addr uint64) (int, bool) {
-	i, ok := p.index[addr]
-	return i, ok
+	off := addr - p.base
+	if off >= uint64(len(p.index)) || p.index[off] == 0 {
+		return 0, false
+	}
+	return int(p.index[off]) - 1, true
 }
 
 // IsLeader reports whether addr starts a (recovered) basic block.
-func (p *Program) IsLeader(addr uint64) bool { return p.Leaders[addr] }
+func (p *Program) IsLeader(addr uint64) bool { return p.leaders.has(addr) }
 
 // BlockEnd returns the index one past the last instruction of the block
 // beginning at instruction index i (exclusive bound).
@@ -214,7 +244,7 @@ func (p *Program) BlockEnd(i int) int {
 			return j + 1
 		}
 		j++
-		if j < len(p.Insts) && p.Leaders[p.Insts[j].Addr] {
+		if j < len(p.Insts) && p.IsLeader(p.Insts[j].Addr) {
 			return j
 		}
 	}
@@ -290,7 +320,7 @@ func (p *Program) Batches(want func(i int) bool, maxBatch int) []Batch {
 	for i := range p.Insts {
 		di := &p.Insts[i]
 		in := &di.Inst
-		if p.Leaders[di.Addr] {
+		if p.IsLeader(di.Addr) {
 			flush()
 		}
 		if want(i) && in.IsMemAccess() {

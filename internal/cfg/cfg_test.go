@@ -1,6 +1,7 @@
 package cfg_test
 
 import (
+	"errors"
 	"testing"
 
 	"redfat/internal/asm"
@@ -276,5 +277,37 @@ func TestDisassembleErrors(t *testing.T) {
 		Addr: 0x1000, Size: 2, Data: []byte{0x00, 0x00}, Exec: true})
 	if _, err := cfg.Disassemble(bad); err == nil {
 		t.Error("undecodable text accepted")
+	}
+	empty := &relf.Binary{}
+	empty.AddSection(&relf.Section{Name: ".text", Kind: relf.SecText, Addr: 0x1000, Exec: true})
+	if _, err := cfg.Disassemble(empty); !errors.Is(err, cfg.ErrEmptyText) {
+		t.Errorf("empty text: err = %v, want cfg.ErrEmptyText", err)
+	}
+}
+
+// TestAddressLookupsBounded: InstAt and IsLeader answer false for
+// addresses below the text (whose offset wraps), past its end, and
+// inside an instruction.
+func TestAddressLookupsBounded(t *testing.T) {
+	p := disasm(t, func(b *asm.Builder) {
+		b.Func("main")
+		b.MovRI(isa.RAX, 1)
+		b.Ret()
+	})
+	first, last := p.Insts[0], p.Insts[len(p.Insts)-1]
+	end := last.Addr + uint64(last.Inst.Len)
+	for _, a := range []uint64{0, first.Addr - 1, first.Addr + 1, end, end + 64, ^uint64(0)} {
+		if i, ok := p.InstAt(a); ok || i != 0 {
+			t.Errorf("InstAt(%#x) = %d, %v", a, i, ok)
+		}
+		if p.IsLeader(a) {
+			t.Errorf("IsLeader(%#x) = true", a)
+		}
+	}
+	if i, ok := p.InstAt(last.Addr); !ok || i != len(p.Insts)-1 {
+		t.Errorf("InstAt(last) = %d, %v", i, ok)
+	}
+	if !p.IsLeader(first.Addr) {
+		t.Error("entry is not a leader")
 	}
 }

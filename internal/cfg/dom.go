@@ -1,5 +1,7 @@
 package cfg
 
+import "slices"
+
 // DomTree is an immediate-dominator tree over a Graph, computed with the
 // Cooper–Harvey–Kennedy iterative algorithm. A virtual root with an edge
 // to every Entry block makes the forest single-rooted; consequently a
@@ -18,11 +20,6 @@ func NewDomTree(g *Graph) *DomTree {
 	root := n
 	d := &DomTree{g: g, idom: make([]int, n+1), depth: make([]int, n+1)}
 
-	// Predecessor lists including the virtual root edges.
-	preds := make([][]int, n)
-	for b := range g.Blocks {
-		preds[b] = g.Blocks[b].Preds
-	}
 	isEntry := make([]bool, n)
 	for _, e := range g.Entries {
 		isEntry[e] = true
@@ -55,10 +52,8 @@ func NewDomTree(g *Graph) *DomTree {
 			stack = stack[:len(stack)-1]
 		}
 	}
-	rpo := make([]int, 0, n)
-	for i := len(post) - 1; i >= 0; i-- {
-		rpo = append(rpo, post[i])
-	}
+	rpo := post
+	slices.Reverse(rpo)
 	rpoNum := make([]int, n+1)
 	for i, b := range rpo {
 		rpoNum[b] = i + 1 // root gets 0
@@ -90,7 +85,7 @@ func NewDomTree(g *Graph) *DomTree {
 			if isEntry[b] {
 				newIdom = root
 			}
-			for _, p := range preds[b] {
+			for _, p := range g.Blocks[b].Preds {
 				if d.idom[p] == undef {
 					continue
 				}

@@ -55,6 +55,11 @@ func NewGraph(p *Program) *Graph {
 func NewGraphOpts(p *Program, opts GraphOptions) *Graph {
 	g := &Graph{Prog: p, BlockOf: make([]int, len(p.Insts))}
 
+	n := 0
+	for start := 0; start < len(p.Insts); start = p.BlockEnd(start) {
+		n++
+	}
+	g.Blocks = make([]Block, 0, n)
 	for start := 0; start < len(p.Insts); {
 		end := p.BlockEnd(start)
 		id := len(g.Blocks)
@@ -65,35 +70,26 @@ func NewGraphOpts(p *Program, opts GraphOptions) *Graph {
 		start = end
 	}
 
-	addEdge := func(from int, toInst int) {
-		to := g.BlockOf[toInst]
-		g.Blocks[from].Succs = append(g.Blocks[from].Succs, to)
-	}
+	// All successor lists share one backing array: a block has at most
+	// two static successors (a conditional jump's target and fall-through).
+	succs := make([]int, 0, 2*len(g.Blocks))
 	for b := range g.Blocks {
 		blk := &g.Blocks[b]
 		last := &p.Insts[blk.End-1]
 		next := last.Addr + uint64(last.Inst.Len)
-		g.linkBlock(b, blk, last, next, addEdge)
-	}
-
-	// Deduplicate and build predecessor lists.
-	for b := range g.Blocks {
-		succs := g.Blocks[b].Succs
-		uniq := succs[:0]
-		seen := map[int]bool{}
-		for _, s := range succs {
-			if !seen[s] {
-				seen[s] = true
-				uniq = append(uniq, s)
+		start := len(succs)
+		g.linkBlock(blk, last, next, func(toInst int) {
+			to := g.BlockOf[toInst]
+			for _, s := range succs[start:] {
+				if s == to {
+					return
+				}
 			}
-		}
-		g.Blocks[b].Succs = uniq
+			succs = append(succs, to)
+		})
+		blk.Succs = succs[start:len(succs):len(succs)]
 	}
-	for b := range g.Blocks {
-		for _, s := range g.Blocks[b].Succs {
-			g.Blocks[s].Preds = append(g.Blocks[s].Preds, b)
-		}
-	}
+	g.rebuildPreds()
 
 	// Indirect-flow recovery: resolve Unknown blocks whose targets can be
 	// proven (marker-built binaries only; inert otherwise).
@@ -105,13 +101,38 @@ func NewGraphOpts(p *Program, opts GraphOptions) *Graph {
 	return g
 }
 
+// rebuildPreds recomputes every predecessor list from the (possibly
+// rewritten) successor lists, in block order, into one backing array.
+// Unknown blocks contribute no edges, which is exactly why every
+// analysis must treat Unknown as ⊤.
+func (g *Graph) rebuildPreds() {
+	pos := make([]int, len(g.Blocks)+1)
+	for b := range g.Blocks {
+		for _, s := range g.Blocks[b].Succs {
+			pos[s+1]++
+		}
+	}
+	for b := range g.Blocks {
+		pos[b+1] += pos[b]
+	}
+	preds := make([]int, pos[len(g.Blocks)])
+	for b := range g.Blocks {
+		g.Blocks[b].Preds = preds[pos[b]:pos[b]:pos[b+1]]
+	}
+	for b := range g.Blocks {
+		for _, s := range g.Blocks[b].Succs {
+			g.Blocks[s].Preds = append(g.Blocks[s].Preds, b)
+		}
+	}
+}
+
 // linkBlock computes the successor edges of one block.
-func (g *Graph) linkBlock(b int, blk *Block, last *DecodedInst, next uint64, addEdge func(int, int)) {
+func (g *Graph) linkBlock(blk *Block, last *DecodedInst, next uint64, addEdge func(toInst int)) {
 	p := g.Prog
 	in := &last.Inst
 	fallthru := func() {
 		if i, ok := p.InstAt(next); ok {
-			addEdge(b, i)
+			addEdge(i)
 		} else {
 			blk.Unknown = true // fell off the end of the text section
 		}
@@ -121,7 +142,7 @@ func (g *Graph) linkBlock(b int, blk *Block, last *DecodedInst, next uint64, add
 		switch in.Form {
 		case isa.FRel8, isa.FRel32:
 			if i, ok := p.InstAt(next + uint64(in.Imm)); ok {
-				addEdge(b, i)
+				addEdge(i)
 			} else {
 				blk.Unknown = true
 			}
@@ -130,7 +151,7 @@ func (g *Graph) linkBlock(b int, blk *Block, last *DecodedInst, next uint64, add
 		}
 	case in.Op.IsCondJump():
 		if i, ok := p.InstAt(next + uint64(in.Imm)); ok {
-			addEdge(b, i)
+			addEdge(i)
 		} else {
 			blk.Unknown = true
 		}
@@ -169,11 +190,6 @@ func (g *Graph) markEntries() {
 		}
 	}
 
-	textLow := p.Insts[0].Addr
-	lastI := p.Insts[len(p.Insts)-1]
-	textHigh := lastI.Addr + uint64(lastI.Inst.Len)
-	inText := func(v uint64) bool { return v >= textLow && v < textHigh }
-
 	for i := range p.Insts {
 		in := &p.Insts[i].Inst
 		next := p.Insts[i].Addr + uint64(in.Len)
@@ -185,14 +201,10 @@ func (g *Graph) markEntries() {
 		// recoverLeaders): any text-range immediate or absolute
 		// displacement may be an indirect jump/call target.
 		if in.Form == isa.FRI || in.Form == isa.FMI {
-			if v := uint64(in.Imm); inText(v) {
-				markAddr(v)
-			}
+			markAddr(uint64(in.Imm))
 		}
 		if in.HasMem() && in.Mem.IsAbsolute() {
-			if v := uint64(uint32(in.Mem.Disp)); inText(v) {
-				markAddr(v)
-			}
+			markAddr(uint64(uint32(in.Mem.Disp)))
 		}
 	}
 
@@ -223,9 +235,7 @@ func (g *Graph) markEntries() {
 			if inProven(s.Addr + uint64(off)) {
 				continue
 			}
-			if v := binary.LittleEndian.Uint64(s.Data[off:]); inText(v) {
-				markAddr(v)
-			}
+			markAddr(binary.LittleEndian.Uint64(s.Data[off:]))
 		}
 	}
 

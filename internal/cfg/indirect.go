@@ -121,9 +121,9 @@ func MarkerBuilt(bin *relf.Binary) bool {
 	return bin.Section(relf.JumpTableSection) != nil
 }
 
-// declaredTables decodes the .rf.jt section into base address → declared
-// entry count. A corrupt section recovers nothing (nil map).
-func declaredTables(bin *relf.Binary) map[uint64]uint32 {
+// declaredTables decodes the .rf.jt section, sorted by base address. A
+// corrupt section recovers nothing (nil).
+func declaredTables(bin *relf.Binary) []relf.JumpTable {
 	sec := bin.Section(relf.JumpTableSection)
 	if sec == nil {
 		return nil
@@ -132,13 +132,19 @@ func declaredTables(bin *relf.Binary) map[uint64]uint32 {
 	if err != nil {
 		return nil
 	}
-	m := make(map[uint64]uint32, len(tables))
-	for _, t := range tables {
-		if t.Entries > m[t.Addr] {
-			m[t.Addr] = t.Entries
-		}
+	sort.Slice(tables, func(i, j int) bool { return tables[i].Addr < tables[j].Addr })
+	return tables
+}
+
+// declaredEntries returns the largest entry count declared for a table
+// based at addr, 0 if none is.
+func declaredEntries(tables []relf.JumpTable, addr uint64) uint32 {
+	var entries uint32
+	k := sort.Search(len(tables), func(i int) bool { return tables[i].Addr >= addr })
+	for ; k < len(tables) && tables[k].Addr == addr; k++ {
+		entries = max(entries, tables[k].Entries)
 	}
-	return m
+	return entries
 }
 
 // isIndirect reports whether in is an indirect jump or call.
@@ -160,36 +166,18 @@ func (g *Graph) leaderAt(addr uint64) (int, bool) {
 	return b, true
 }
 
-// rebuildPreds recomputes every predecessor list from the (possibly
-// rewritten) successor lists. Unknown blocks contribute no edges, which
-// is exactly why every analysis must treat Unknown as ⊤.
-func (g *Graph) rebuildPreds() {
-	for b := range g.Blocks {
-		g.Blocks[b].Preds = g.Blocks[b].Preds[:0]
-	}
-	for b := range g.Blocks {
-		for _, s := range g.Blocks[b].Succs {
-			g.Blocks[s].Preds = append(g.Blocks[s].Preds, b)
-		}
-	}
-}
-
 // addressTaken returns the set of text addresses an unmodeled transfer
 // could target: the binary entry, function symbols, direct call targets,
 // text-range immediates and absolute displacements, and aligned data
 // words — the same candidate sources markEntries uses. Words inside
 // exclude spans (proven read-only tables, whose flow recovery represents
 // as explicit edges) are skipped.
-func (g *Graph) addressTaken(exclude []relf.JumpTable) map[uint64]bool {
+func (g *Graph) addressTaken(exclude []relf.JumpTable) textSet {
 	p := g.Prog
-	cand := make(map[uint64]bool)
-	textLow := p.Insts[0].Addr
-	lastI := p.Insts[len(p.Insts)-1]
-	textHigh := lastI.Addr + uint64(lastI.Inst.Len)
-	inText := func(v uint64) bool { return v >= textLow && v < textHigh }
+	cand := newTextSet(p.base, len(p.index))
 	mark := func(v uint64) {
-		if inText(v) {
-			cand[v] = true
+		if v-p.base < uint64(len(p.index)) {
+			cand.add(v)
 		}
 	}
 
@@ -355,7 +343,7 @@ func (g *Graph) applyResolution(b int, res Resolved) {
 // resolveTableJump tries to prove the target set of the indirect jump
 // terminating block b as a bounded slice of a declared read-only jump
 // table. Any unproven step bails (the block keeps its Unknown ⊤ edges).
-func (g *Graph) resolveTableJump(b int, declared map[uint64]uint32, cand map[uint64]bool) (Resolved, bool) {
+func (g *Graph) resolveTableJump(b int, declared []relf.JumpTable, cand textSet) (Resolved, bool) {
 	p := g.Prog
 	blk := &g.Blocks[b]
 	j := blk.End - 1
@@ -405,8 +393,8 @@ func (g *Graph) resolveTableJump(b int, declared map[uint64]uint32, cand map[uin
 	}
 	idx := tm.Index
 	table := uint64(uint32(tm.Disp))
-	entries, ok := declared[table]
-	if !ok {
+	entries := declaredEntries(declared, table)
+	if entries == 0 {
 		return Resolved{}, false // undeclared table: unproven
 	}
 
@@ -424,7 +412,7 @@ func (g *Graph) resolveTableJump(b int, declared map[uint64]uint32, cand map[uin
 	if len(blk.Preds) != 1 || blk.Preds[0] == b {
 		return Resolved{}, false
 	}
-	if cand[p.Insts[blk.Start].Addr] || p.Insts[blk.Start].Inst.Op == isa.LPAD {
+	if cand.has(p.Insts[blk.Start].Addr) || p.Insts[blk.Start].Inst.Op == isa.LPAD {
 		return Resolved{}, false
 	}
 	bound, ok := g.guardBound(blk.Preds[0], b, idx)
@@ -588,7 +576,7 @@ func (g *Graph) pairReturns(info *IndirectInfo) {
 				}
 			}
 			for i := blk.Start; i < blk.End; i++ {
-				if cand[p.Insts[i].Addr] && p.Insts[i].Addr != f.lo {
+				if cand.has(p.Insts[i].Addr) && p.Insts[i].Addr != f.lo {
 					closed = false // address taken: indirect entry possible
 				}
 				if p.Insts[i].Inst.Op == isa.LPAD && unresolvedIndirect {
@@ -601,7 +589,7 @@ func (g *Graph) pairReturns(info *IndirectInfo) {
 		}
 		// The function's own entry must not be address-taken beyond being
 		// a symbol / direct call target (those are paired below).
-		if cand[f.lo] && !onlyCallTaken(p, f.lo) {
+		if cand.has(f.lo) && !onlyCallTaken(p, f.lo) {
 			closed = false
 		}
 		if !closed || len(retBlocks) == 0 {

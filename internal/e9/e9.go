@@ -216,7 +216,7 @@ func (rw *Rewriter) Instrument(i int, payload []isa.Inst) error {
 				break
 			}
 			nd := rw.Prog.Insts[j]
-			if rw.Prog.Leaders[nd.Addr] || rw.reserved[nd.Addr] ||
+			if rw.Prog.IsLeader(nd.Addr) || rw.reserved[nd.Addr] ||
 				rw.stolen[j] || rw.patched[j] != TacticNone {
 				ok = false
 				break

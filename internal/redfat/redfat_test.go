@@ -1,9 +1,11 @@
 package redfat_test
 
 import (
+	"errors"
 	"testing"
 
 	"redfat/internal/asm"
+	"redfat/internal/cfg"
 	"redfat/internal/isa"
 	"redfat/internal/redfat"
 	"redfat/internal/relf"
@@ -491,6 +493,29 @@ func TestDoubleHardenRejected(t *testing.T) {
 	}
 	if _, _, err := redfat.Harden(hard, redfat.Defaults()); err == nil {
 		t.Error("double instrumentation accepted")
+	}
+}
+
+// TestHardenRejectsEmptyText: a RELF image whose text section has no
+// bytes survives Marshal/Unmarshal, and the rewriter must reject it with
+// cfg.ErrEmptyText rather than index an empty instruction list.
+func TestHardenRejectsEmptyText(t *testing.T) {
+	bin := &relf.Binary{}
+	bin.AddSection(&relf.Section{Name: ".text", Kind: relf.SecText,
+		Addr: relf.DefaultTextBase, Exec: true})
+	img, err := bin.Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bin, err = relf.Unmarshal(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := redfat.Harden(bin, redfat.Defaults()); !errors.Is(err, cfg.ErrEmptyText) {
+		t.Errorf("Harden(empty text) = %v, want cfg.ErrEmptyText", err)
+	}
+	if _, err := redfat.Analyze(bin, redfat.Defaults()); !errors.Is(err, cfg.ErrEmptyText) {
+		t.Errorf("Analyze(empty text) = %v, want cfg.ErrEmptyText", err)
 	}
 }
 

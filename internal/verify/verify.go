@@ -236,7 +236,7 @@ func Verify(orig, hard *relf.Binary) (*Report, error) {
 		// potential jump target) or another trampoline's batch head.
 		for _, j := range displaced[1:] {
 			a := prog.Insts[j].Addr
-			if prog.Leaders[a] {
+			if prog.IsLeader(a) {
 				rep.violate(KindSteal, a, "byte stealing swallowed block leader (patch at %#x)", origAddr)
 			}
 			if leaderPC[a] && a != origAddr {
